@@ -9,8 +9,10 @@
 //!
 //! Options:
 //!
-//! * `--engine bmc|pdr|portfolio` — the `verify_all` backend (default
-//!   `portfolio`: COI grouping + racing multi-PDR/multi-BMC),
+//! * `--engine NAME` — the `verify_all` engine, any [`Engine::name`]
+//!   case-insensitively: `bmc`, `itp`, `itpseq`, `sitpseq`, `itpseqcba`,
+//!   `pdr` or `portfolio` (default `portfolio`: COI grouping + racing
+//!   multi-PDR/multi-BMC),
 //! * `--json PATH` — additionally write the machine-readable report
 //!   (schema `itpseq-hwmcc/v2`, with a per-design `preprocess` reduction
 //!   report), the artifact CI uploads,
@@ -48,21 +50,24 @@ use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 fn usage() -> ! {
+    let engines: Vec<String> = Engine::ALL
+        .iter()
+        .map(|engine| engine.name().to_ascii_lowercase())
+        .collect();
     eprintln!(
-        "usage: hwmcc DIR [--engine bmc|pdr|portfolio] [--json PATH] \
+        "usage: hwmcc DIR [--engine {}] [--json PATH] \
          [--trace PATH] [--chrome-trace PATH] [--report PATH] [--folded PATH] \
-         [--timeout-ms N] [--max-bound N] [--certify] [--cert-dir DIR]"
+         [--timeout-ms N] [--max-bound N] [--certify] [--cert-dir DIR]",
+        engines.join("|")
     );
     std::process::exit(2);
 }
 
+/// The engine whose [`Engine::name`] is `name`, case-insensitively.
 fn engine_by_name(name: &str) -> Option<Engine> {
-    match name.to_ascii_lowercase().as_str() {
-        "bmc" => Some(Engine::Bmc),
-        "pdr" => Some(Engine::Pdr),
-        "portfolio" => Some(Engine::Portfolio),
-        _ => None,
-    }
+    Engine::ALL
+        .into_iter()
+        .find(|engine| engine.name().eq_ignore_ascii_case(name))
 }
 
 /// The `.aag` files of `dir`, sorted by file name for a stable report.

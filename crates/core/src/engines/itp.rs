@@ -241,7 +241,15 @@ pub fn verify_with_cancel(
         let mut j = 0usize;
         loop {
             j += 1;
-            let itp = match extract_interpolant(&proof, &instance, &mut space, &mut stats) {
+            let interpolate = telemetry.span_args("interpolate", || {
+                vec![
+                    ("k", ArgValue::U64(k as u64)),
+                    ("j", ArgValue::U64(j as u64)),
+                ]
+            });
+            let extracted = extract_interpolant(&proof, &instance, &mut space, &mut stats);
+            interpolate.end();
+            let itp = match extracted {
                 Ok(itp) => itp,
                 Err(reason) => {
                     return finish(

@@ -338,9 +338,10 @@ impl<'a> Pdr<'a> {
         bad_indices: &[usize],
         options: &'a Options,
         start: Instant,
-        stats: EngineStats,
+        mut stats: EngineStats,
         budget: &'a RunBudget,
     ) -> Pdr<'a> {
+        let encode_start = Instant::now();
         let mut unroller = Unroller::new(aig);
         for input in 0..aig.num_inputs() {
             let _ = unroller.input_lit(0, input);
@@ -356,6 +357,8 @@ impl<'a> Pdr<'a> {
             .map(|input| unroller.input_lit(0, input))
             .collect();
         let template = unroller.into_cnf();
+        stats.clauses_encoded += template.clauses.len() as u64;
+        stats.encode_time += encode_start.elapsed();
 
         let latch_of_var0 = latch0
             .iter()

@@ -20,12 +20,35 @@
 //!   properties retire individually on counterexamples, and a converged
 //!   frame proves every surviving property at once.
 //! * [`scheduler`] — the **property scheduler** behind
-//!   [`Engine::Portfolio`]: properties are grouped by sequential
-//!   cone-of-influence overlap ([`aig::coi::group_bads_by_coi`] — groups
-//!   that share no latches gain nothing from a shared trace), each group
-//!   races multi-PDR against multi-BMC on its own threads, and a shared
-//!   retirement board gives per-property cancellation: the moment one
-//!   backend decides a property, the other stops spending work on it.
+//!   [`Engine::Portfolio`]: each property group races multi-PDR against
+//!   multi-BMC on its own threads, and a shared retirement board gives
+//!   per-property cancellation: the moment one backend decides a
+//!   property, the other stops spending work on it.
+//!
+//! # Cone-of-influence slicing
+//!
+//! Sharing a trace only pays between properties whose cones share state.
+//! So, after preprocessing (when the cone-of-influence pass ran), every
+//! `verify_all` except multi-BMC first splits the properties into groups
+//! and decides each group on its **own narrowed model** — the design
+//! re-prepared with only the group's bad-state properties
+//! ([`crate::pipeline::prepare`] on a copy with
+//! [`Aig::select_bads`]), so no engine pays for latches outside the
+//! group's cones:
+//!
+//! * multi-PDR and the scheduler get the latch-sharing groups of
+//!   [`aig::coi::group_bads_from_cois`] — groups that share no latches
+//!   gain nothing from a shared trace;
+//! * the engines without a multi backend (the interpolation family) get
+//!   one group per property, each on its own cone, as a per-property
+//!   [`Engine::verify`] would.
+//!
+//! Results lift back through the group's reconstruction and then the
+//! whole design's, so traces and certificates (including multi-PDR's
+//! shared certificate) end up in original-design coordinates.  Multi-BMC
+//! keeps one unrolling for every property: its encoding is already lazy
+//! in the cones, and the shared frames are what it amortizes.  Without
+//! the cone-of-influence pass every backend runs on the whole design.
 //!
 //! # Determinism contract
 //!
@@ -69,7 +92,8 @@ pub mod pdr;
 pub mod scheduler;
 
 use crate::engines::CancelToken;
-use crate::{Engine, EngineStats, MultiResult, Options, PropertyStatus, StopReason};
+use crate::{Engine, EngineStats, MultiResult, Options, Prepared, PropertyStatus, StopReason};
+use aig::coi::Coi;
 use aig::Aig;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
@@ -85,9 +109,9 @@ pub fn verify_all(aig: &Aig, options: &Options) -> MultiResult {
 
 /// The dispatch behind [`Engine::verify_all_with_cancel`]: the staged
 /// pipeline entry.  The design is reduced once by the preprocessing
-/// passes, the backends run on the reduced model (the scheduler reusing
-/// the pipeline's per-property COIs), and statuses are reconstructed to
-/// original-design coordinates.
+/// passes, the backends run on the reduced model (each property group on
+/// its own narrowed model, see [`verify_all_inner`]), and statuses are
+/// reconstructed to original-design coordinates.
 pub(crate) fn verify_all_with_engine(
     aig: &Aig,
     engine: Engine,
@@ -101,32 +125,134 @@ pub(crate) fn verify_all_with_engine(
     prepared.verify_all_with_cancel(engine, options, cancel)
 }
 
-/// Runs a multi-property backend directly on `aig`, with no
-/// preprocessing stage.  `cois`, when given, are the per-property
-/// sequential COIs of `aig` (the preprocessing pipeline's by-product)
-/// for the scheduler's property grouping.
+/// The narrowing step between [`Prepared::verify_all_with_cancel`] and
+/// the backends: partitions the properties of `aig` into groups, decides
+/// each group on its own narrowed model, and merges the statuses back in
+/// `aig`'s coordinates.
+///
+/// `cois`, when given, are the per-property sequential COIs of `aig`
+/// (the preprocessing pipeline's by-product); without them nothing is
+/// narrowed and every backend runs on `aig` itself.  Multi-BMC always
+/// runs on `aig`, with every property on one shared unrolling.
+///
+/// [`Prepared::verify_all_with_cancel`]: crate::Prepared::verify_all_with_cancel
 pub(crate) fn verify_all_inner(
     aig: &Aig,
     engine: Engine,
     options: &Options,
     cancel: &CancelToken,
-    cois: Option<&[aig::coi::Coi]>,
+    cois: Option<&[Coi]>,
 ) -> MultiResult {
-    let props: Vec<usize> = (0..aig.num_bad()).collect();
-    match engine {
-        Engine::Bmc => bmc::verify_all_with_cancel(aig, &props, options, cancel, None),
-        Engine::Pdr => {
-            crate::engines::pdr::verify_all_with_cancel(aig, &props, options, cancel, None)
+    let start = Instant::now();
+    let num_props = aig.num_bad();
+    if engine == Engine::Bmc {
+        let props: Vec<usize> = (0..num_props).collect();
+        return bmc::verify_all_with_cancel(aig, &props, options, cancel, None);
+    }
+    let groups = partition(aig, engine, cois);
+    options.telemetry.instant_args("coi.groups", || {
+        vec![
+            ("groups", ArgValue::U64(groups.len() as u64)),
+            (
+                "largest",
+                ArgValue::U64(groups.iter().map(Vec::len).max().unwrap_or(0) as u64),
+            ),
+        ]
+    });
+    let narrow = cois.is_some();
+    let results: Vec<MultiResult> = if engine == Engine::Portfolio {
+        scheduler::verify_all_with_cancel(aig, &groups, narrow, options, cancel)
+    } else {
+        groups
+            .iter()
+            .map(|members| {
+                Slice::new(aig, members, narrow, options).run(|model, props| match engine {
+                    Engine::Pdr => crate::engines::pdr::verify_all_with_cancel(
+                        model, props, options, cancel, None,
+                    ),
+                    other => fallback_loop(model, props, other, options, cancel),
+                })
+            })
+            .collect()
+    };
+
+    let mut stats = EngineStats::default();
+    let mut statuses: Vec<Option<PropertyStatus>> = vec![None; num_props];
+    for (members, result) in groups.iter().zip(results) {
+        stats.absorb(&result.stats);
+        for (&prop, status) in members.iter().zip(result.statuses) {
+            statuses[prop] = Some(status);
         }
-        Engine::Portfolio => scheduler::verify_all_with_cancel(aig, options, cancel, cois),
-        other => fallback_loop(aig, &props, other, options, cancel),
+    }
+    stats.time = start.elapsed();
+    MultiResult {
+        statuses: statuses
+            .into_iter()
+            .map(|slot| slot.expect("every property belongs to a group"))
+            .collect(),
+        stats,
     }
 }
 
-/// The non-amortized reference: one engine run per property (directly on
-/// `aig` — the caller has already preprocessed when asked to).  Used for
-/// the engines without a multi backend (the interpolation family) and by
-/// the agreement tests as the ground truth.
+/// The property groups of one `verify_all` run, each ascending, ordered
+/// by smallest member: the latch-sharing COI groups for multi-PDR and the
+/// scheduler, one group per property for the per-property loop.  Without
+/// `cois`, multi-PDR keeps every property on one trace and the scheduler
+/// groups by the COIs of `aig` itself.
+fn partition(aig: &Aig, engine: Engine, cois: Option<&[Coi]>) -> Vec<Vec<usize>> {
+    let num_props = aig.num_bad();
+    match (engine, cois) {
+        (Engine::Pdr | Engine::Portfolio, Some(cois)) => {
+            debug_assert_eq!(cois.len(), num_props);
+            aig::coi::group_bads_from_cois(cois)
+        }
+        (Engine::Portfolio, None) => aig::coi::group_bads_by_coi(aig),
+        (Engine::Pdr, None) => vec![(0..num_props).collect()],
+        _ => (0..num_props).map(|prop| vec![prop]).collect(),
+    }
+}
+
+/// One property group of a `verify_all` run and the model it is decided
+/// on: the group's own narrowed model, or the whole design.
+pub(crate) struct Slice<'a> {
+    whole: &'a Aig,
+    /// The group's properties, as bad-state indices of the whole design.
+    pub members: &'a [usize],
+    /// The whole design prepared for the group's properties alone
+    /// (`None`: the group runs on the whole design).
+    narrowed: Option<Prepared>,
+}
+
+impl<'a> Slice<'a> {
+    /// The slice of group `members` of `aig`, narrowed to the group's
+    /// cones when `narrow`.
+    pub fn new(aig: &'a Aig, members: &'a [usize], narrow: bool, options: &Options) -> Slice<'a> {
+        Slice {
+            whole: aig,
+            members,
+            narrowed: narrow.then(|| crate::pipeline::prepare_properties(aig, members, options)),
+        }
+    }
+
+    /// Runs `backend` on the slice's model and its indices of the group's
+    /// properties; the statuses come back indexed like
+    /// [`members`](Self::members), in the whole design's coordinates.
+    pub fn run(&self, backend: impl FnOnce(&Aig, &[usize]) -> MultiResult) -> MultiResult {
+        let Some(prepared) = &self.narrowed else {
+            return backend(self.whole, self.members);
+        };
+        let props: Vec<usize> = (0..self.members.len()).collect();
+        let mut result = backend(&prepared.aig, &props);
+        prepared.lift_multi(&mut result);
+        result
+    }
+}
+
+/// The non-amortized reference: one engine run per property, directly on
+/// `aig` (the caller has already preprocessed and narrowed when asked
+/// to).  The `verify_all` backend of the engines without a multi backend
+/// (the interpolation family), where each call gets a one-property group
+/// on its own narrowed model.
 pub(crate) fn fallback_loop(
     aig: &Aig,
     props: &[usize],

@@ -4,10 +4,11 @@
 //!
 //! 1. Properties whose sequential cones of influence share no latches
 //!    gain nothing from a shared frame trace or unrolling — their
-//!    reachable-state facts are disjoint.  [`aig::coi::group_bads_by_coi`]
-//!    partitions the properties into COI-overlap groups, and each group
-//!    gets its own amortized engine instances over only its members'
-//!    cones.
+//!    reachable-state facts are disjoint.  The scheduler therefore gets
+//!    the COI-overlap groups of the shared narrowing step in
+//!    [`crate::multi`], and decides each group on its own narrowed model
+//!    (the design re-prepared for the group's properties alone), so each
+//!    group's engine instances encode only its members' cones.
 //! 2. Within a group, no single backend dominates (the portfolio
 //!    argument): multi-BMC retires failing properties fastest, multi-PDR
 //!    is the prover.  Each group therefore *races* the two on their own
@@ -26,7 +27,7 @@
 //! and counterexample traces depend on which backend wins the race.
 
 use crate::engines::CancelToken;
-use crate::multi::{bmc, RetireBoard};
+use crate::multi::{bmc, RetireBoard, Slice};
 use crate::{EngineStats, MultiResult, Options, PropertyStatus, StopReason};
 use aig::Aig;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -54,51 +55,20 @@ fn faulted_result(n: usize, payload: &(dyn std::any::Any + Send)) -> MultiResult
     }
 }
 
-/// Verifies every bad-state property of `aig`: COI grouping, then one
-/// racing multi-PDR/multi-BMC pair per group.  `cois`, when given, are
-/// the per-property sequential COIs of `aig` — the preprocessing
-/// pipeline hands its COI-pass by-product over so the grouping does not
-/// recompute them.
+/// Decides every property group of `aig`: one racing multi-PDR/multi-BMC
+/// pair per group, each on the group's narrowed model when `narrow` (see
+/// [`Slice`]).  Returns one result per group, statuses indexed like the
+/// group's members.
 pub(crate) fn verify_all_with_cancel(
     aig: &Aig,
+    groups: &[Vec<usize>],
+    narrow: bool,
     options: &Options,
     cancel: &CancelToken,
-    cois: Option<&[aig::coi::Coi]>,
-) -> MultiResult {
-    let start = Instant::now();
-    let mut stats = EngineStats {
-        visible_latches: aig.num_latches(),
-        ..EngineStats::default()
-    };
-    let num_props = aig.num_bad();
-    if num_props == 0 {
-        stats.time = start.elapsed();
-        return MultiResult {
-            statuses: Vec::new(),
-            stats,
-        };
-    }
-
+) -> Vec<MultiResult> {
     let telemetry = &options.telemetry;
     let _sched = telemetry.span_args("scheduler.run", || {
-        vec![("props", ArgValue::U64(num_props as u64))]
-    });
-    let groups = match cois {
-        Some(cois) => {
-            debug_assert_eq!(cois.len(), num_props);
-            aig::coi::group_bads_from_cois(cois)
-        }
-        None => aig::coi::group_bads_by_coi(aig),
-    };
-    debug_assert_eq!(groups.iter().map(Vec::len).sum::<usize>(), num_props);
-    telemetry.instant_args("coi.groups", || {
-        vec![
-            ("groups", ArgValue::U64(groups.len() as u64)),
-            (
-                "largest",
-                ArgValue::U64(groups.iter().map(Vec::len).max().unwrap_or(0) as u64),
-            ),
-        ]
+        vec![("props", ArgValue::U64(aig.num_bad() as u64))]
     });
 
     // Each group races on its own pair of threads, and at most
@@ -108,18 +78,31 @@ pub(crate) fn verify_all_with_cancel(
     // Chunking changes scheduling only, never statuses: kinds and depths
     // are deterministic per group.
     let concurrent_groups = options.effective_threads().max(1);
-    let mut statuses: Vec<Option<PropertyStatus>> = vec![None; num_props];
+    let mut results = Vec::with_capacity(groups.len());
     for batch in groups.chunks(concurrent_groups) {
+        // Narrowed here, on the scheduler's thread: the preprocessing
+        // spans stay on one well-nested track.
+        let slices: Vec<Slice<'_>> = batch
+            .iter()
+            .map(|members| Slice::new(aig, members, narrow, options))
+            .collect();
         let batch_results: Vec<MultiResult> = std::thread::scope(|scope| {
-            let handles: Vec<_> = batch
+            let handles: Vec<_> = slices
                 .iter()
-                .map(|props| {
+                .map(|slice| {
                     scope.spawn(move || {
                         // A panicking group must not tear down the whole
                         // schedule: contain it and report its properties
                         // inconclusive while the other groups finish.
-                        catch_unwind(AssertUnwindSafe(|| race_group(aig, props, options, cancel)))
-                            .unwrap_or_else(|payload| faulted_result(props.len(), payload.as_ref()))
+                        let group_id = slice.members[0];
+                        catch_unwind(AssertUnwindSafe(|| {
+                            slice.run(|model, props| {
+                                race_group(model, props, group_id, options, cancel)
+                            })
+                        }))
+                        .unwrap_or_else(|payload| {
+                            faulted_result(slice.members.len(), payload.as_ref())
+                        })
                     })
                 })
                 .collect();
@@ -128,30 +111,24 @@ pub(crate) fn verify_all_with_cancel(
                 .map(|h| h.join().expect("group panics are caught in the thread"))
                 .collect()
         });
-        for (props, result) in batch.iter().zip(batch_results) {
-            stats.absorb(&result.stats);
-            for (&slot, status) in props.iter().zip(result.statuses) {
-                statuses[slot] = Some(status);
-            }
-        }
+        results.extend(batch_results);
     }
-    stats.time = start.elapsed();
-    MultiResult {
-        statuses: statuses
-            .into_iter()
-            .map(|slot| slot.expect("every property scheduled"))
-            .collect(),
-        stats,
-    }
+    results
 }
 
-/// Races multi-PDR against multi-BMC on one COI group; statuses are
-/// indexed like `props`.
-fn race_group(aig: &Aig, props: &[usize], options: &Options, cancel: &CancelToken) -> MultiResult {
+/// Races multi-PDR against multi-BMC on properties `props` of `aig` (one
+/// COI group, traced as group `group_id`); statuses are indexed like
+/// `props`.
+fn race_group(
+    aig: &Aig,
+    props: &[usize],
+    group_id: usize,
+    options: &Options,
+    cancel: &CancelToken,
+) -> MultiResult {
     let start = Instant::now();
     let board = RetireBoard::new(props.len());
     let telemetry = &options.telemetry;
-    let group_id = props[0];
     telemetry.instant_args("group.dispatch", || {
         vec![
             ("group", ArgValue::U64(group_id as u64)),

@@ -77,8 +77,16 @@ pub fn prepare(aig: &Aig, options: &Options) -> Prepared {
 ///
 /// Panics if `bad_index` is out of range.
 pub fn prepare_property(aig: &Aig, bad_index: usize, options: &Options) -> Prepared {
+    prepare_properties(aig, &[bad_index], options)
+}
+
+/// Runs the preprocessing pipeline for a group of properties: the design
+/// is first narrowed to the bad-state properties `bad_indices` (the
+/// reduced model's properties `0..bad_indices.len()`, in that order), so
+/// the cone-of-influence pass keeps only the group's cones.
+pub(crate) fn prepare_properties(aig: &Aig, bad_indices: &[usize], options: &Options) -> Prepared {
     let mut focused = aig.clone();
-    focused.select_bads(&[bad_index]);
+    focused.select_bads(bad_indices);
     run_pipeline(&focused, options)
 }
 
@@ -147,6 +155,10 @@ impl Prepared {
     /// Runs `engine` over every property of the reduced model (see
     /// [`Engine::verify_all`]) and reconstructs statuses, traces and
     /// certificates back to original-design coordinates.
+    ///
+    /// When the cone-of-influence pass ran, every backend except
+    /// multi-BMC decides each property group on the group's own narrowed
+    /// model (see [`crate::multi`]).
     pub fn verify_all(&self, engine: Engine, options: &Options) -> MultiResult {
         self.verify_all_with_cancel(engine, options, &CancelToken::new())
     }
@@ -165,6 +177,14 @@ impl Prepared {
             cancel,
             self.bad_cois.as_deref(),
         );
+        self.lift_multi(&mut result);
+        result
+    }
+
+    /// Reconstructs a multi-property result on the reduced model: folds
+    /// in the preprocessing accounting and lifts traces and certificates
+    /// back to original-design coordinates.
+    pub(crate) fn lift_multi(&self, result: &mut MultiResult) {
         self.absorb_stats(&mut result.stats);
         // A multi-PDR run shares one invariant certificate Arc across
         // every property it proves; lift each distinct certificate once
@@ -187,7 +207,6 @@ impl Prepared {
                 _ => {}
             }
         }
-        result
     }
 
     /// Folds the preprocessing accounting into an engine's statistics.

@@ -187,15 +187,23 @@ pub struct EngineStats {
     /// Number of abstraction refinements (CBA engine only).
     pub refinements: u64,
     /// Number of latches visible in the final abstraction (CBA engine only;
-    /// equals the total latch count for the other engines).
+    /// equals the total latch count for the other engines).  A
+    /// multi-property run reports the largest model any of its property
+    /// groups ran on: after cone-of-influence slicing that is the
+    /// largest group's narrowed model, not the whole design.
     pub visible_latches: usize,
     /// Name of the entrant whose verdict a portfolio run adopted
     /// ([`Engine::Portfolio`] only; `None` for direct engine runs).
     pub winner: Option<&'static str>,
     /// Time spent in the preprocessing pass pipeline before the solver
-    /// saw the design (zero when preprocessing is off).
+    /// saw the design (zero when preprocessing is off).  A sliced
+    /// multi-property run adds each property group's own preparation to
+    /// the whole design's.
     pub preprocess_time: Duration,
-    /// AND gates the preprocessing pipeline removed from the design.
+    /// AND gates the preprocessing pipeline removed from the design.  Like
+    /// the other removed counts, a sliced multi-property run sums the
+    /// whole design's reduction and every group's further narrowing of
+    /// the reduced design, so the total can exceed the design's size.
     pub ands_removed: u64,
     /// Latches the preprocessing pipeline removed (stuck-at sweeps plus
     /// cone-of-influence reduction).
@@ -904,11 +912,15 @@ impl Engine {
     /// returns one [`PropertyStatus`] per property.
     ///
     /// For [`Engine::Bmc`], [`Engine::Pdr`] and [`Engine::Portfolio`] the
-    /// run is genuinely amortized (see [`crate::multi`]): one unrolling /
-    /// frame trace / scheduler serves all properties, with per-property
-    /// retirement.  The remaining engines fall back to a per-property
-    /// loop.  Verdict kinds and counterexample depths always match the
-    /// per-property [`Engine::verify`] loop.
+    /// run is genuinely amortized (see [`crate::multi`]): one unrolling
+    /// serves all properties, and one frame trace / racing pair serves
+    /// each cone-of-influence group, with per-property retirement.  The
+    /// remaining engines fall back to a per-property loop.  After
+    /// preprocessing, every engine but BMC decides each group (each
+    /// property, for the loop) on the group's own narrowed model, so no
+    /// run pays for state outside the cones it checks.  Verdict kinds and
+    /// counterexample depths always match the per-property
+    /// [`Engine::verify`] loop.
     pub fn verify_all(self, aig: &aig::Aig, options: &Options) -> crate::MultiResult {
         self.verify_all_with_cancel(aig, options, &CancelToken::new())
     }

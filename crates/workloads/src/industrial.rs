@@ -21,7 +21,8 @@ pub struct IndustrialParams {
     pub counter_bits: usize,
     /// Modulus of the control counter.
     pub modulus: u64,
-    /// Counter value the property claims is unreachable.
+    /// Counter value the property claims is unreachable (below
+    /// `2^counter_bits`).
     pub bad_at: u64,
     /// Length of the request/acknowledge pipeline in front of the counter.
     pub pipeline_depth: usize,
@@ -49,6 +50,11 @@ impl Default for IndustrialParams {
 /// The property ("the control counter never reaches `bad_at`") holds iff
 /// `bad_at >= modulus`.  Only the counter and the pipeline feeding it are in
 /// the property's cone of influence; the payload registers are not.
+///
+/// # Panics
+///
+/// Panics unless `1 <= modulus <= 2^counter_bits` and
+/// `bad_at < 2^counter_bits`.
 pub fn pipeline(params: IndustrialParams) -> Aig {
     let IndustrialParams {
         counter_bits,
@@ -59,6 +65,12 @@ pub fn pipeline(params: IndustrialParams) -> Aig {
         seed,
     } = params;
     assert!(modulus >= 1 && modulus <= 1u64 << counter_bits);
+    // `word_equals_const` keeps only the word's low bits: a larger
+    // `bad_at` would alias to a reachable value.
+    assert!(
+        bad_at < 1u64 << counter_bits,
+        "bad_at {bad_at} does not fit in {counter_bits} counter bits"
+    );
     let mut aig = Aig::new();
     aig.set_name(format!(
         "industrial_c{counter_bits}m{modulus}b{bad_at}p{pipeline_depth}x{payload_latches}s{seed}"
@@ -172,5 +184,17 @@ mod tests {
             aig::simulate(&a, &stim).first_failure(),
             aig::simulate(&b, &stim).first_failure()
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "does not fit in 5 counter bits")]
+    fn out_of_range_bad_at_is_rejected() {
+        // 34 would alias to 2, a value the counter reaches.
+        pipeline(IndustrialParams {
+            counter_bits: 5,
+            modulus: 30,
+            bad_at: 34,
+            ..IndustrialParams::default()
+        });
     }
 }

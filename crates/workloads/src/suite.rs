@@ -1,7 +1,7 @@
 //! The curated benchmark suites used by the experiment regenerators.
 
 use crate::{arbiter, counter, fifo, industrial, token_ring, traffic};
-use aig::Aig;
+use aig::{Aig, AigNode, Lit};
 
 /// Size class of a benchmark, mirroring the two halves of the paper's
 /// Table I.
@@ -242,6 +242,66 @@ pub fn multi_property() -> Vec<MultiBenchmark> {
     suite
 }
 
+/// A concatenation of small independent designs — two counters with two
+/// thresholds each, a token ring, an arbiter with a seeded bug and a FIFO
+/// controller — sharing no inputs, latches or gates.  Every property's
+/// cone of influence lies inside its own part, so the `verify_all`
+/// backends must decide each part on its own narrowed model, and each
+/// status must equal the part's per-property answer.
+pub fn concatenated() -> MultiBenchmark {
+    let parts = [
+        (
+            counter::modular_multi(3, 6, &[5, 7]),
+            vec![Some(true), Some(false)],
+        ),
+        (token_ring::ring(4, false), vec![Some(false)]),
+        (
+            counter::modular_multi(4, 10, &[9, 12]),
+            vec![Some(true), Some(false)],
+        ),
+        (arbiter::round_robin(3, true), vec![Some(true)]),
+        (fifo::controller(2, false), vec![Some(false)]),
+    ];
+    let mut aig = Aig::new();
+    aig.set_name("concat_disjoint");
+    let mut expect_fail = Vec::new();
+    for (part, expect) in &parts {
+        append(&mut aig, part);
+        expect_fail.extend(expect);
+    }
+    MultiBenchmark::new(aig, expect_fail)
+}
+
+/// Copies the inputs, latches, gates and bad-state literals of `part` into
+/// `aig`, after its own: the copy shares nothing with what `aig` holds.
+fn append(aig: &mut Aig, part: &Aig) {
+    let mut map = vec![Lit::FALSE; part.num_nodes()];
+    let translate =
+        |map: &[Lit], lit: Lit| map[lit.node() as usize].xor_complement(lit.is_complemented());
+    let mut latches = Vec::new();
+    for id in part.node_ids() {
+        map[id as usize] = match part.node(id) {
+            AigNode::Const => Lit::FALSE,
+            AigNode::Input { .. } => Lit::positive(aig.add_input()),
+            AigNode::Latch { index } => {
+                let latch = aig.add_latch(part.init(index));
+                latches.push((index, latch));
+                aig.latch_lit(latch)
+            }
+            AigNode::And { left, right } => {
+                let (a, b) = (translate(&map, left), translate(&map, right));
+                aig.and(a, b)
+            }
+        };
+    }
+    for (index, latch) in latches {
+        aig.set_next(latch, translate(&map, part.next(index)));
+    }
+    for bad in part.bad_lits() {
+        aig.add_bad(translate(&map, bad));
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -295,6 +355,16 @@ mod tests {
         assert!(passing >= 4, "passing properties: {passing}");
         // The single-property suites are untouched by the multi variants.
         assert!(full().iter().all(|b| b.aig.num_bad() == 1));
+    }
+
+    #[test]
+    fn concatenated_parts_form_disjoint_coi_groups() {
+        let b = concatenated();
+        assert_eq!(b.expect_fail.len(), b.aig.num_bad());
+        assert_eq!(
+            aig::coi::group_bads_by_coi(&b.aig),
+            vec![vec![0, 1], vec![2], vec![3, 4], vec![5], vec![6]]
+        );
     }
 
     #[test]

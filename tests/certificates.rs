@@ -6,7 +6,9 @@
 
 use certify::{check_entry, parse_document, Cert, CertEntry, Outcome};
 use itpseq::aig::{self, Aig};
-use itpseq::mc::{certificate::document_json, CertRecord, Engine, Options, Verdict};
+use itpseq::mc::{
+    certificate::document_json, CertRecord, Engine, Options, PropertyStatus, Verdict,
+};
 use std::time::Duration;
 
 fn options() -> Options {
@@ -74,19 +76,30 @@ fn every_engine_round_trips_checker_accepted_certificates() {
 #[test]
 fn verify_all_certificates_check_out_per_property() {
     let options = options();
-    for file in ["counter_multi.aag", "arbiter_multi.aag"] {
-        let text = std::fs::read_to_string(format!("tests/data/{file}")).unwrap();
-        let mut aig = aig::parse_aag(&text).unwrap();
-        aig.promote_outputs_to_bad();
-        for engine in [Engine::Pdr, Engine::Bmc, Engine::Portfolio] {
-            let result = engine.verify_all(&aig, &options);
+    // The fixtures plus a concatenation of disjoint designs, whose groups
+    // run on their own narrowed models: certificates lift through the
+    // group's reconstruction and then the whole design's.
+    let mut designs: Vec<(String, Aig)> = ["counter_multi.aag", "arbiter_multi.aag"]
+        .into_iter()
+        .map(|file| {
+            let text = std::fs::read_to_string(format!("tests/data/{file}")).unwrap();
+            let mut aig = aig::parse_aag(&text).unwrap();
+            aig.promote_outputs_to_bad();
+            (file.to_string(), aig)
+        })
+        .collect();
+    let concatenated = itpseq::workloads::suite::concatenated();
+    designs.push((concatenated.name, concatenated.aig));
+    for (file, aig) in &designs {
+        for engine in Engine::ALL {
+            let result = engine.verify_all(aig, &options);
             let records: Vec<CertRecord> = result
                 .statuses
                 .iter()
                 .enumerate()
                 .map(|(i, status)| CertRecord::from_status(i, Some(engine.name()), status))
                 .collect();
-            for (entry, outcome) in round_trip(file, &aig, &records) {
+            for (entry, outcome) in round_trip(file, aig, &records) {
                 match entry.verdict.as_str() {
                     "proved" | "falsified" => assert_eq!(
                         outcome,
@@ -203,13 +216,32 @@ fn certification_changes_no_verdicts() {
         for engine in Engine::ALL {
             let with = engine.verify(&benchmark.aig, 0, &on);
             let without = engine.verify(&benchmark.aig, 0, &off);
-            assert_eq!(
-                with.verdict,
-                without.verdict,
-                "{} via {}: certificates flipped the verdict",
-                benchmark.name,
-                engine.name()
-            );
+            if engine == Engine::Portfolio {
+                // The portfolio's documented contract (pinned by
+                // `tests/portfolio_determinism.rs`) is the verdict kind
+                // and the counterexample depth: which entrant wins, and
+                // so its `k_fp`/`j_fp`, depends on thread timing.
+                let contract = |verdict: &Verdict| {
+                    PropertyStatus::from_verdict(verdict.clone()).kind_and_depth()
+                };
+                assert_eq!(
+                    contract(&with.verdict),
+                    contract(&without.verdict),
+                    "{} via {}: certificates flipped the verdict ({} vs {})",
+                    benchmark.name,
+                    engine.name(),
+                    with.verdict,
+                    without.verdict
+                );
+            } else {
+                assert_eq!(
+                    with.verdict,
+                    without.verdict,
+                    "{} via {}: certificates flipped the verdict",
+                    benchmark.name,
+                    engine.name()
+                );
+            }
             assert!(
                 without.certificate.is_none(),
                 "{} via {}: certificates off must not emit evidence",

@@ -1,9 +1,10 @@
 //! The multi-property determinism contract: `verify_all` is *pure speed*.
 //!
-//! For every suite model (including the multi-bad variants) and for each
-//! backend with an amortized implementation (BMC, PDR, Portfolio), the
-//! per-property statuses of `verify_all` must agree with the
-//! per-property `Engine::verify` loop — same verdict kind, bit-identical
+//! For every suite model (including the multi-bad variants and a
+//! concatenation of disjoint designs, whose property groups each run on
+//! their own narrowed model) and for every engine, the per-property
+//! statuses of `verify_all` must agree with the per-property
+//! `Engine::verify` loop — same verdict kind, bit-identical
 //! counterexample depths — while multi-BMC's total encoding volume stays
 //! `O(K + P)` where the loop pays `O(K·P)`.
 //!
@@ -66,9 +67,68 @@ fn assert_agreement(aig: &aig::Aig, name: &str, engine: Engine, options: &Option
 #[test]
 fn verify_all_matches_the_per_property_loop_on_the_multi_suite() {
     for benchmark in itpseq::workloads::suite::multi_property() {
-        for engine in MULTI_ENGINES {
+        for engine in Engine::ALL {
             assert_agreement(&benchmark.aig, &benchmark.name, engine, &options());
         }
+    }
+}
+
+#[test]
+fn verify_all_matches_the_loop_on_a_concatenation_of_disjoint_designs() {
+    // Every part is its own COI group, so each backend decides it on the
+    // part's narrowed model; the answers must be the parts' own.
+    let benchmark = itpseq::workloads::suite::concatenated();
+    for engine in Engine::ALL {
+        assert_agreement(&benchmark.aig, &benchmark.name, engine, &options());
+        let multi = engine.verify_all(&benchmark.aig, &options());
+        for (prop, expect) in benchmark.expect_fail.iter().enumerate() {
+            let status = &multi.statuses[prop];
+            if engine == Engine::Bmc && !status.is_falsified() {
+                continue; // BMC cannot prove
+            }
+            assert_eq!(
+                status.is_falsified(),
+                expect.expect("every part's answer is known"),
+                "{} property {prop}: {status}",
+                engine.name()
+            );
+        }
+    }
+}
+
+#[test]
+fn sliced_backends_see_only_their_largest_coi_group() {
+    // On disjoint parts, the per-property loop and multi-PDR must run on
+    // each group's narrowed model: the largest model any of them encodes
+    // is the largest COI group, never the union of all cones.
+    let benchmark = itpseq::workloads::suite::concatenated();
+    let aig = &benchmark.aig;
+    let cois = itpseq::aig::coi::bad_cois(aig);
+    let group_latches = |group: &Vec<usize>| {
+        let mut latches = std::collections::HashSet::new();
+        for &prop in group {
+            latches.extend(cois[prop].latches.iter().copied());
+        }
+        latches.len()
+    };
+    let groups = itpseq::aig::coi::group_bads_by_coi(aig);
+    let largest = groups.iter().map(group_latches).max().expect("groups");
+    let union = itpseq::aig::coi::property_coi(aig).latches.len();
+    assert!(largest < union, "the parts must be disjoint");
+    for engine in [
+        Engine::Itp,
+        Engine::ItpSeq,
+        Engine::SerialItpSeq,
+        Engine::ItpSeqCba,
+        Engine::Pdr,
+    ] {
+        let multi = engine.verify_all(aig, &options());
+        assert!(
+            multi.stats.visible_latches <= largest,
+            "{}: {} visible latches, largest group {largest}, union {union}",
+            engine.name(),
+            multi.stats.visible_latches
+        );
     }
 }
 
