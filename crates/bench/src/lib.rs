@@ -8,10 +8,10 @@
 //!   `Time / k_fp / j_fp` per engine (now including the racing
 //!   portfolio); `--suite` selects a benchmark subset and `--json`
 //!   additionally emits the machine-readable records CI archives
-//!   (schema `itpseq-table1/v6`, which adds the fault-isolation counters
-//!   `panics_contained`/`memlimit_hits`/`faults_injected`/
-//!   `pool_seq_reruns` on top of v5's preprocessing reduction
-//!   counters),
+//!   (schema `itpseq-table1/v7`, which adds `containment_calls`, the
+//!   fixpoint checks' share of `sat_calls`, on top of v6's
+//!   fault-isolation counters `panics_contained`/`memlimit_hits`/
+//!   `faults_injected`/`pool_seq_reruns`),
 //! * `fig7` — the exact-k versus assume-k scatter for ITPSEQ,
 //! * `ablation_alpha` — the `αs` sweep for the serial sequences.
 //!
@@ -124,7 +124,7 @@ impl RunRecord {
                 r#""preprocess_time_ms":{:.3},"ands_removed":{},"latches_removed":{},"#,
                 r#""inputs_removed":{},"cert_clauses_subsumed":{},"#,
                 r#""panics_contained":{},"memlimit_hits":{},"faults_injected":{},"#,
-                r#""pool_seq_reruns":{},"winner":{}}}"#
+                r#""pool_seq_reruns":{},"containment_calls":{},"winner":{}}}"#
             ),
             json_escape(&self.benchmark),
             self.engine.name(),
@@ -154,6 +154,7 @@ impl RunRecord {
             self.result.stats.memlimit_hits,
             self.result.stats.faults_injected,
             self.result.stats.pool_seq_reruns,
+            self.result.stats.containment_calls,
             opt_str(self.result.stats.winner),
         )
     }
@@ -502,7 +503,7 @@ pub fn records_to_json(records: &[RunRecord]) -> String {
         .map(|record| format!("    {}", record.to_json()))
         .collect();
     format!(
-        "{{\n  \"schema\": \"itpseq-table1/v6\",\n  \"records\": [\n{}\n  ]\n}}\n",
+        "{{\n  \"schema\": \"itpseq-table1/v7\",\n  \"records\": [\n{}\n  ]\n}}\n",
         body.join(",\n")
     )
 }
@@ -620,6 +621,7 @@ mod tests {
                     memlimit_hits: 2,
                     faults_injected: 3,
                     pool_seq_reruns: 4,
+                    containment_calls: 6,
                     ..Default::default()
                 },
                 certificate: None,
@@ -647,6 +649,7 @@ mod tests {
         assert!(proved.contains(r#""memlimit_hits":2"#), "{proved}");
         assert!(proved.contains(r#""faults_injected":3"#), "{proved}");
         assert!(proved.contains(r#""pool_seq_reruns":4"#), "{proved}");
+        assert!(proved.contains(r#""containment_calls":6"#), "{proved}");
         let falsified = mk(Verdict::Falsified { depth: 7 }).to_json();
         assert!(falsified.contains(r#""depth":7"#), "{falsified}");
         assert!(falsified.contains(r#""k_fp":null"#), "{falsified}");
@@ -677,7 +680,7 @@ mod tests {
             mk(Verdict::Proved { k_fp: 1, j_fp: 1 }),
             mk(Verdict::Falsified { depth: 2 }),
         ]);
-        assert!(document.contains("itpseq-table1/v6"));
+        assert!(document.contains("itpseq-table1/v7"));
         assert_eq!(document.matches("\"benchmark\"").count(), 2);
         let opens = document.matches('{').count();
         assert_eq!(opens, document.matches('}').count());

@@ -185,7 +185,7 @@ pub fn verify_with_cancel(
     }
 
     let probe = EngineProbe::new(telemetry, options.probe_interval);
-    let mut space = StateSpace::new(design.num_latches());
+    let mut space = StateSpace::new(design.num_latches(), &budget, options);
     let s0 = space.initial_states(design);
     let identity: Vec<usize> = (0..design.num_latches()).collect();
 
@@ -263,7 +263,18 @@ pub fn verify_with_cancel(
                     );
                 }
             };
-            if space.implies(itp, reached) {
+            let Ok(fixpoint) = space.implies(itp, reached, &mut stats) else {
+                return finish(
+                    stats,
+                    Verdict::Inconclusive {
+                        reason: budget.interrupt_reason(),
+                        bound_reached: k,
+                    },
+                    None,
+                    start,
+                );
+            };
+            if fixpoint {
                 // `reached = S0 ∨ itp_1 ∨ …` is closed under the transition
                 // relation at this point: it contains the initial states,
                 // every disjunct excludes the bad states (each interpolant's

@@ -73,7 +73,7 @@ use sat::{IncrementalSolver, SolveResult};
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
-use telemetry::ArgValue;
+use telemetry::{ArgValue, Telemetry};
 
 /// Minimum number of per-frame queries before the engine bothers cloning
 /// solvers for a parallel pass.
@@ -178,7 +178,7 @@ pub(crate) fn verify_all_with_cancel(
             continue;
         }
         let bad0 = pdr.bads0[i];
-        let result = Pdr::solve_on(&mut pdr.solvers[0], &mut pdr.stats, &[bad0]);
+        let result = Pdr::solve_on(&mut pdr.solvers[0], &mut pdr.stats, telemetry, &[bad0]);
         match result {
             SolveResult::Sat => {
                 // The init solver's model fixes the frame-0 inputs that
@@ -632,7 +632,12 @@ impl<'a> Pdr<'a> {
     fn get_bad(&mut self, prop: usize) -> Option<(Cube, u32)> {
         let level = self.frames.level();
         let bad0 = self.bads0[prop];
-        let result = Self::solve_on(&mut self.solvers[level], &mut self.stats, &[bad0]);
+        let result = Self::solve_on(
+            &mut self.solvers[level],
+            &mut self.stats,
+            &self.options.telemetry,
+            &[bad0],
+        );
         if result != SolveResult::Sat {
             // Unsat: the frontier is clean.  Interrupted: the caller
             // re-checks `stopped` and winds down.
@@ -648,7 +653,12 @@ impl<'a> Pdr<'a> {
         let mut assumptions = inputs;
         assumptions.push(!bad0);
         assumptions.extend_from_slice(&state);
-        let lifted = Self::solve_on(&mut self.lift, &mut self.stats, &assumptions);
+        let lifted = Self::solve_on(
+            &mut self.lift,
+            &mut self.stats,
+            &self.options.telemetry,
+            &assumptions,
+        );
         if lifted == SolveResult::Interrupted {
             return None;
         }
@@ -687,7 +697,12 @@ impl<'a> Pdr<'a> {
             .map(|(latch, value)| Self::state_lit(&self.latch1, latch, value))
             .collect();
         let guard = self.solvers[frame - 1].add_retirable_clause(clause);
-        let result = Self::solve_on(&mut self.solvers[frame - 1], &mut self.stats, &assumptions);
+        let result = Self::solve_on(
+            &mut self.solvers[frame - 1],
+            &mut self.stats,
+            &self.options.telemetry,
+            &assumptions,
+        );
         match result {
             SolveResult::Unsat => {
                 let core = self.solvers[frame - 1].assumption_core();
@@ -721,7 +736,12 @@ impl<'a> Pdr<'a> {
         let guard = self.lift.add_retirable_clause(blocking);
         let mut assumptions = inputs;
         assumptions.extend_from_slice(&state);
-        let result = Self::solve_on(&mut self.lift, &mut self.stats, &assumptions);
+        let result = Self::solve_on(
+            &mut self.lift,
+            &mut self.stats,
+            &self.options.telemetry,
+            &assumptions,
+        );
         let cube = if result == SolveResult::Unsat {
             self.cube_from_core0(&self.lift.assumption_core())
         } else {
@@ -802,6 +822,9 @@ impl<'a> Pdr<'a> {
             .collect();
         if self.threads > 1 && cubes.len() >= PAR_MIN_ITEMS {
             let solver = &self.solvers[frame];
+            // One span for the whole batch: the workers share this track,
+            // where overlapping per-query spans would not nest.
+            let batch = self.options.telemetry.span("sat");
             let (answers, reruns): (Vec<(SolveResult, sat::SolverStats)>, u64) = pool::map_chunked(
                 &assumption_sets,
                 self.threads,
@@ -812,6 +835,7 @@ impl<'a> Pdr<'a> {
                     (result, worker.stats() - before)
                 },
             );
+            batch.end();
             self.record_pool_reruns(reruns);
             for &(_, delta) in &answers {
                 self.stats.sat_calls += 1;
@@ -821,7 +845,12 @@ impl<'a> Pdr<'a> {
         } else {
             let mut results = Vec::with_capacity(assumption_sets.len());
             for assumptions in &assumption_sets {
-                let result = Self::solve_on(&mut self.solvers[frame], &mut self.stats, assumptions);
+                let result = Self::solve_on(
+                    &mut self.solvers[frame],
+                    &mut self.stats,
+                    &self.options.telemetry,
+                    assumptions,
+                );
                 let done = result == SolveResult::Interrupted;
                 results.push(result);
                 if done {
@@ -848,6 +877,8 @@ impl<'a> Pdr<'a> {
         debug_assert!(frame >= 1 && frame <= self.frames.level());
         let this = &*self;
         let solver = &this.solvers[frame - 1];
+        // One span for the whole batch, as in `push_queries`.
+        let batch = this.options.telemetry.span("sat");
         let (answers, reruns): (Vec<Screened>, u64) = pool::map_chunked(
             candidates,
             this.threads,
@@ -881,6 +912,7 @@ impl<'a> Pdr<'a> {
                 }
             },
         );
+        batch.end();
         self.record_pool_reruns(reruns);
         let mut outcomes = Vec::with_capacity(candidates.len());
         for ((core, delta, queried), candidate) in answers.into_iter().zip(candidates) {
@@ -1069,11 +1101,14 @@ impl<'a> Pdr<'a> {
         )
     }
 
+    /// One counted query on `solver`, inside a `sat` span.
     fn solve_on(
         solver: &mut IncrementalSolver,
         stats: &mut EngineStats,
+        telemetry: &Telemetry,
         assumptions: &[Lit],
     ) -> SolveResult {
+        let _sat = telemetry.span("sat");
         let before = solver.stats();
         let result = solver.solve(assumptions);
         stats.sat_calls += 1;

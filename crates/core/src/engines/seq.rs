@@ -19,7 +19,7 @@
 use crate::abstraction::Abstraction;
 use crate::certificate::{Certificate, InvariantCert, InvariantCone};
 use crate::engines::{CancelToken, EngineProbe, RunBudget};
-use crate::state::{encode_state_lit, StateSpace};
+use crate::state::{encode_state_lit, Interrupted, StateSpace};
 use crate::{EngineResult, EngineStats, Options, Verdict};
 use aig::Aig;
 use cnf::{BmcCheck, Clause, IncrementalUnroller, Unroller};
@@ -551,6 +551,31 @@ fn extend_or_refine(
     }
 }
 
+/// Fig. 2's fixpoint checks at the bound of `sequence`: conjoins each
+/// `I_j` into its column `ℐ_j` and checks `ℐ_j ⇒ R_{j-1}` for
+/// `j = 1, 2, …`, where `R_0 = r0` and `R_j = R_{j-1} ∨ ℐ_j`.  Returns the
+/// first fixpoint as `(j, R_{j-1})`, or `None` when this bound has none.
+fn find_fixpoint(
+    space: &mut StateSpace,
+    columns: &mut Vec<aig::Lit>,
+    sequence: &[aig::Lit],
+    r0: aig::Lit,
+    stats: &mut EngineStats,
+) -> Result<Option<(usize, aig::Lit)>, Interrupted> {
+    let mut reached = r0;
+    for (i, &itp) in sequence.iter().enumerate() {
+        if columns.len() == i {
+            columns.push(aig::Lit::TRUE);
+        }
+        columns[i] = space.and(columns[i], itp);
+        if space.implies(columns[i], reached, stats)? {
+            return Ok(Some((i + 1, reached)));
+        }
+        reached = space.or(reached, columns[i]);
+    }
+    Ok(None)
+}
+
 /// The shared outer loop of the sequence-based engines.
 pub(crate) fn run(
     design: &Aig,
@@ -572,7 +597,7 @@ pub(crate) fn run(
     });
     let mut stats = EngineStats::default();
     let probe = EngineProbe::new(telemetry, options.probe_interval);
-    let mut space = StateSpace::new(design.num_latches());
+    let mut space = StateSpace::new(design.num_latches(), &budget, options);
     // `ℐ_j` column conjunctions, persisted across bounds (1-based index j).
     let mut columns: Vec<aig::Lit> = Vec::new();
 
@@ -793,13 +818,9 @@ pub(crate) fn run(
             })
             .collect();
         let r0 = space.manager_mut().and_many(initial_lits);
-        let mut reached = r0;
-        for j in 1..=k {
-            if columns.len() < j {
-                columns.push(aig::Lit::TRUE);
-            }
-            columns[j - 1] = space.and(columns[j - 1], sequence[j - 1]);
-            if space.implies(columns[j - 1], reached) {
+        match find_fixpoint(&mut space, &mut columns, &sequence, r0, &mut stats) {
+            Ok(None) => {}
+            Ok(Some((j, reached))) => {
                 // `reached = R0 ∨ ℐ_1 ∨ … ∨ ℐ_{j-1}` is an inductive
                 // invariant here: it contains the initial states, every
                 // column excludes the bad states (its bound-j conjunct's B
@@ -824,7 +845,17 @@ pub(crate) fn run(
                 });
                 return finish(stats, Verdict::Proved { k_fp: k, j_fp: j }, cert, start);
             }
-            reached = space.or(reached, columns[j - 1]);
+            Err(Interrupted) => {
+                return finish(
+                    stats,
+                    Verdict::Inconclusive {
+                        reason: budget.interrupt_reason(),
+                        bound_reached: k,
+                    },
+                    None,
+                    start,
+                );
+            }
         }
     }
 
@@ -870,6 +901,79 @@ mod tests {
         let bad = word_equals_const(&mut aig, &bits, (1 << width) - 1);
         aig.add_bad(bad);
         aig
+    }
+
+    /// A containment check the run budget stops ends the fixpoint search
+    /// with `Interrupted` (which the run reports as `Inconclusive` with
+    /// the budget's reason), where an unstopped budget finds the fixpoint.
+    #[test]
+    fn interrupted_containment_finds_no_fixpoint() {
+        let options = Options::default();
+        let find = |cancel: &CancelToken| {
+            let budget = RunBudget::arm(cancel, Instant::now(), &options);
+            let mut space = StateSpace::new(3, &budget, &options);
+            let (a, b, c) = (space.latch(0), space.latch(1), space.latch(2));
+            let r0 = space.and(!a, !b);
+            // ℐ_1 ⊆ R_0, so j = 1 is a fixpoint.
+            let itp = space.and(r0, !c);
+            let mut stats = EngineStats::default();
+            let found = find_fixpoint(&mut space, &mut Vec::new(), &[itp], r0, &mut stats);
+            (found.map(|f| f.map(|(j, _)| j)), budget.interrupt_reason())
+        };
+        assert_eq!(find(&CancelToken::new()).0, Ok(Some(1)));
+        let cancelled = CancelToken::new();
+        cancelled.cancel();
+        assert_eq!(
+            find(&cancelled),
+            (Err(Interrupted), crate::types::StopReason::Cancelled)
+        );
+    }
+
+    /// Raises a shared memory budget past its limit when the first
+    /// containment query starts, so only that query can see the stop.
+    struct ExhaustAtFirstContain {
+        budget: sat::MemoryBudget,
+        registered: std::sync::Mutex<u64>,
+    }
+
+    impl telemetry::TelemetrySink for ExhaustAtFirstContain {
+        fn record(&self, event: telemetry::Event) {
+            if event.kind == telemetry::EventKind::Begin && event.name == "contain" {
+                let mut registered = self.registered.lock().expect("unpoisoned");
+                self.budget
+                    .update(&mut registered, self.budget.limit().saturating_add(1));
+            }
+        }
+    }
+
+    /// The containment solver shares the run's memory budget: exhausting
+    /// it at the first fixpoint check turns a proof into a `memlimit` stop.
+    #[test]
+    fn containment_queries_are_memory_governed() {
+        let design = modular_counter(3, 6, 7);
+        let clean = crate::engines::itpseq::verify(&design, 0, &Options::default());
+        assert!(clean.verdict.is_proved(), "{}", clean.verdict);
+        assert!(clean.stats.containment_calls > 0);
+
+        let options = Options::default().with_memory_limit(1 << 30);
+        let sink = ExhaustAtFirstContain {
+            budget: options.memory_limit.clone().expect("limit set"),
+            registered: std::sync::Mutex::new(0),
+        };
+        let options = options.with_telemetry(telemetry::Telemetry::new(std::sync::Arc::new(sink)));
+        let stopped = crate::engines::itpseq::verify(&design, 0, &options);
+        assert!(
+            matches!(
+                stopped.verdict,
+                Verdict::Inconclusive {
+                    reason: crate::types::StopReason::MemLimit,
+                    ..
+                }
+            ),
+            "{}",
+            stopped.verdict
+        );
+        assert_eq!(stopped.stats.containment_calls, 1);
     }
 
     /// The cached unrolling must reproduce the scratch instance *exactly*:

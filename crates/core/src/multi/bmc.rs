@@ -123,6 +123,16 @@ impl<'a> MultiBmc<'a> {
         unroller.mark_drained();
     }
 
+    /// One counted query on the shared solver, inside a `sat` span.
+    fn solve(&mut self, solver: &mut IncrementalSolver, assumptions: &[Lit]) -> SolveResult {
+        let _sat = self.options.telemetry.span("sat");
+        let before = solver.stats();
+        let result = solver.solve(assumptions);
+        self.stats.sat_calls += 1;
+        self.stats.add_solver_delta(solver.stats() - before);
+        result
+    }
+
     /// Reads the violating input trace (cycles `0..=depth`) off the
     /// solver's model.  Inputs the formula never mentions are
     /// unconstrained and read as `false`.
@@ -186,10 +196,7 @@ impl<'a> MultiBmc<'a> {
                 continue;
             }
             let bad0 = self.slots[i].bads[0];
-            self.stats.sat_calls += 1;
-            let before = solver.stats();
-            let result = solver.solve(&[bad0]);
-            self.stats.add_solver_delta(solver.stats() - before);
+            let result = self.solve(&mut solver, &[bad0]);
             match result {
                 SolveResult::Sat => {
                     let cex = self.extract_cex(&mut unroller, &solver, 0);
@@ -274,10 +281,7 @@ impl<'a> MultiBmc<'a> {
                         vec![head]
                     }
                 };
-                self.stats.sat_calls += 1;
-                let before = solver.stats();
-                let result = solver.solve(&assumptions);
-                self.stats.add_solver_delta(solver.stats() - before);
+                let result = self.solve(&mut solver, &assumptions);
                 match result {
                     SolveResult::Sat => {
                         // Minimal by construction: bounds < k were refuted.

@@ -4,30 +4,70 @@
 //! reachability over-approximations `R_j` are all Boolean functions over
 //! the design latches.  They are stored as literals of a single
 //! combinational [`aig::Aig`] manager whose primary input `i` stands for
-//! latch `i`; containment checks (`ℐ_j ⇒ R_{j-1}`) are discharged with the
-//! SAT solver, and state sets are re-encoded into time-frame CNF when they
-//! seed the next bounded check.
+//! latch `i`, and they are re-encoded into time-frame CNF when they seed
+//! the next bounded check.
+//!
+//! Containment checks (`ℐ_j ⇒ R_{j-1}`) all go to one incremental SAT
+//! solver per run, created under the run's budget (interrupt, deadline,
+//! memory budget and fault plan).  The solver holds a lazily grown, full
+//! Tseitin encoding of the manager: a node is encoded the first time a
+//! query reaches it, and never again.  The manager is append-only and
+//! structurally hashed, so a node's definition never changes; every clause
+//! is a definition, so learned clauses stay valid for every later query.
+//! A check `a ⇒ b` is then a single solve under the assumptions `a ∧ ¬b`,
+//! and it encodes only the nodes the growing `R_{j-1}` gained since the
+//! previous check.
 
+use crate::engines::RunBudget;
+use crate::{EngineStats, Options};
 use aig::{Aig, AigNode};
 use cnf::Unroller;
-use sat::{SolveResult, Solver};
+use sat::{IncrementalSolver, SolveResult};
 use std::collections::HashMap;
+use std::time::Instant;
+use telemetry::Telemetry;
 
-/// A manager for symbolic state sets over the latches of one design.
-#[derive(Clone, Debug)]
+/// A containment query the run budget stopped before it was decided; the
+/// run reports it like any other interrupted SAT call, with the budget's
+/// stop reason.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Interrupted;
+
+/// A manager for symbolic state sets over the latches of one design,
+/// together with the run's containment solver.
+#[derive(Debug)]
 pub struct StateSpace {
     mgr: Aig,
     latch_inputs: Vec<aig::Lit>,
+    /// The run's containment solver: the definitions of every node any
+    /// query reached so far, and nothing else.
+    solver: IncrementalSolver,
+    /// `encoded[n]` is the solver literal of manager node `n`, once a
+    /// query has reached it.
+    encoded: Vec<Option<cnf::Lit>>,
+    telemetry: Telemetry,
 }
 
 impl StateSpace {
-    /// Creates a state space for a design with `num_latches` latches.
-    pub fn new(num_latches: usize) -> StateSpace {
+    /// Creates a state space for a design with `num_latches` latches,
+    /// whose containment solver is governed by `budget`.
+    pub(crate) fn new(num_latches: usize, budget: &RunBudget, options: &Options) -> StateSpace {
         let mut mgr = Aig::new();
         let latch_inputs = (0..num_latches)
             .map(|_| aig::Lit::positive(mgr.add_input()))
             .collect();
-        StateSpace { mgr, latch_inputs }
+        let mut solver = IncrementalSolver::new();
+        // No clause is ever retired, so there is nothing to recycle.
+        solver.set_recycle_threshold(0);
+        solver.set_reduce_interval(options.reduce_interval());
+        budget.govern_incremental(&mut solver);
+        StateSpace {
+            mgr,
+            latch_inputs,
+            solver,
+            encoded: Vec::new(),
+            telemetry: options.telemetry.clone(),
+        }
     }
 
     /// Number of latches (dimensions) of the state space.
@@ -69,25 +109,83 @@ impl StateSpace {
         self.mgr.or(a, b)
     }
 
-    /// Checks the implication `a ⇒ b` with a SAT call on `a ∧ ¬b`.
-    pub fn implies(&self, a: aig::Lit, b: aig::Lit) -> bool {
+    /// Checks the implication `a ⇒ b` with one query `a ∧ ¬b` on the run's
+    /// containment solver, inside a `contain` span.  The query counts in
+    /// `stats` as a SAT call and a containment call, with its solver work
+    /// and the definitions it newly encoded.  Trivial implications are
+    /// answered without a query.
+    pub fn implies(
+        &mut self,
+        a: aig::Lit,
+        b: aig::Lit,
+        stats: &mut EngineStats,
+    ) -> Result<bool, Interrupted> {
         if a == aig::Lit::FALSE || b == aig::Lit::TRUE || a == b {
-            return true;
+            return Ok(true);
         }
-        let mut builder = cnf::CnfBuilder::new();
-        let vars: Vec<cnf::Lit> = (0..self.num_latches()).map(|_| builder.new_lit()).collect();
-        let mut cache = HashMap::new();
-        let mut leaf = |_: &mut cnf::CnfBuilder, id: aig::NodeId| match self.mgr.node(id) {
-            AigNode::Input { index } => vars[index],
-            _ => unreachable!("state sets only depend on latch inputs"),
-        };
-        let a_lit = cnf::tseitin::encode_cone(&mut builder, &self.mgr, a, &mut cache, &mut leaf);
-        let b_lit = cnf::tseitin::encode_cone(&mut builder, &self.mgr, b, &mut cache, &mut leaf);
-        builder.add_unit(a_lit);
-        builder.add_unit(!b_lit);
-        let mut solver = Solver::new();
-        solver.add_cnf(&builder.into_cnf());
-        solver.solve() == SolveResult::Unsat
+        let _contain = self.telemetry.span("contain");
+        let encode_start = Instant::now();
+        let mut clauses = 0;
+        let a_lit = self.encode(a, &mut clauses);
+        let b_lit = self.encode(b, &mut clauses);
+        stats.clauses_encoded += clauses;
+        stats.encode_time += encode_start.elapsed();
+        let before = self.solver.stats();
+        let result = self.solver.solve(&[a_lit, !b_lit]);
+        stats.sat_calls += 1;
+        stats.containment_calls += 1;
+        stats.add_solver_delta(self.solver.stats() - before);
+        match result {
+            SolveResult::Unsat => Ok(true),
+            SolveResult::Sat => Ok(false),
+            SolveResult::Interrupted => Err(Interrupted),
+        }
+    }
+
+    /// Returns the solver literal of `root`, first adding the definitions
+    /// of every node of its cone that no earlier query reached (counted
+    /// in `clauses`).
+    fn encode(&mut self, root: aig::Lit, clauses: &mut u64) -> cnf::Lit {
+        self.encoded.resize(self.mgr.num_nodes(), None);
+        let mut stack = vec![root.node()];
+        while let Some(&id) = stack.last() {
+            if self.encoded[id as usize].is_some() {
+                stack.pop();
+                continue;
+            }
+            let lit = match self.mgr.node(id) {
+                AigNode::Const => {
+                    let lit = cnf::Lit::positive(self.solver.new_var());
+                    self.solver.add_clause([!lit]);
+                    *clauses += 1;
+                    lit
+                }
+                AigNode::Input { .. } => cnf::Lit::positive(self.solver.new_var()),
+                AigNode::Latch { .. } => unreachable!("state sets only depend on latch inputs"),
+                AigNode::And { left, right } => {
+                    let (Some(l), Some(r)) = (self.solver_lit(left), self.solver_lit(right)) else {
+                        stack.push(left.node());
+                        stack.push(right.node());
+                        continue;
+                    };
+                    let out = cnf::Lit::positive(self.solver.new_var());
+                    self.solver.add_clause([!out, l]);
+                    self.solver.add_clause([!out, r]);
+                    self.solver.add_clause([out, !l, !r]);
+                    *clauses += 3;
+                    out
+                }
+            };
+            self.encoded[id as usize] = Some(lit);
+            stack.pop();
+        }
+        self.solver_lit(root).expect("encoded above")
+    }
+
+    /// The solver literal of `lit`, once a query has reached its node.
+    fn solver_lit(&self, lit: aig::Lit) -> Option<cnf::Lit> {
+        let node = self.encoded[lit.node() as usize]?;
+        Some(if lit.is_complemented() { !node } else { node })
     }
 
     /// Evaluates a state set on a concrete latch valuation.
@@ -127,6 +225,18 @@ pub fn encode_state_lit(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engines::CancelToken;
+    use sat::Solver;
+
+    /// A state space governed by a fresh budget under `options`.
+    fn governed(num_latches: usize, options: &Options) -> StateSpace {
+        let budget = RunBudget::arm(&CancelToken::new(), Instant::now(), options);
+        StateSpace::new(num_latches, &budget, options)
+    }
+
+    fn space(num_latches: usize) -> StateSpace {
+        governed(num_latches, &Options::default())
+    }
 
     fn two_latch_design() -> Aig {
         let mut aig = Aig::new();
@@ -139,7 +249,7 @@ mod tests {
     #[test]
     fn initial_states_matches_reset_values() {
         let design = two_latch_design();
-        let mut ss = StateSpace::new(2);
+        let mut ss = space(2);
         let init = ss.initial_states(&design);
         assert!(ss.contains(init, &[false, true]));
         assert!(!ss.contains(init, &[true, true]));
@@ -148,18 +258,110 @@ mod tests {
 
     #[test]
     fn implication_checks() {
-        let mut ss = StateSpace::new(2);
+        let mut ss = space(2);
         let a = ss.latch(0);
         let b = ss.latch(1);
         let ab = ss.and(a, b);
         let a_or_b = ss.or(a, b);
-        assert!(ss.implies(ab, a));
-        assert!(ss.implies(ab, a_or_b));
-        assert!(ss.implies(a, a_or_b));
-        assert!(!ss.implies(a_or_b, ab));
-        assert!(!ss.implies(a, b));
-        assert!(ss.implies(aig::Lit::FALSE, a));
-        assert!(ss.implies(a, aig::Lit::TRUE));
+        let mut stats = EngineStats::default();
+        let mut implies = |x, y| ss.implies(x, y, &mut stats).expect("no stop was requested");
+        assert!(implies(ab, a));
+        assert!(implies(ab, a_or_b));
+        assert!(implies(a, a_or_b));
+        assert!(!implies(a_or_b, ab));
+        assert!(!implies(a, b));
+        assert!(implies(aig::Lit::FALSE, a));
+        assert!(implies(a, aig::Lit::TRUE));
+        assert_eq!(stats.containment_calls, 5, "trivial checks need no query");
+        assert_eq!(stats.sat_calls, 5);
+    }
+
+    /// Truth table of `set` over every valuation of (at most 8) latches.
+    fn truth_table(ss: &StateSpace, set: aig::Lit) -> Vec<bool> {
+        let n = ss.num_latches();
+        (0..1u32 << n)
+            .map(|v| {
+                let latches: Vec<bool> = (0..n).map(|i| (v >> i) & 1 == 1).collect();
+                ss.contains(set, &latches)
+            })
+            .collect()
+    }
+
+    /// One solver answers every query of a growing manager exactly:
+    /// random sets built with interleaved `and`/`or`, each containment
+    /// answer checked against brute-force evaluation.
+    #[test]
+    fn incremental_containment_is_exact() {
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut next = |bound: usize| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % bound as u64) as usize
+        };
+        for num_latches in [1usize, 3, 8] {
+            let mut ss = space(num_latches);
+            let mut stats = EngineStats::default();
+            let mut sets: Vec<aig::Lit> = vec![aig::Lit::FALSE, aig::Lit::TRUE];
+            sets.extend((0..num_latches).map(|i| ss.latch(i)));
+            let mut tables: Vec<Vec<bool>> = sets.iter().map(|&s| truth_table(&ss, s)).collect();
+            for _ in 0..300 {
+                let pick = |i: usize, flip: usize| sets[i].xor_complement(flip == 1);
+                let x = pick(next(sets.len()), next(2));
+                let y = pick(next(sets.len()), next(2));
+                let set = if next(2) == 0 {
+                    ss.and(x, y)
+                } else {
+                    ss.or(x, y)
+                };
+                sets.push(set);
+                tables.push(truth_table(&ss, set));
+                for _ in 0..2 {
+                    let (i, j) = (next(sets.len()), next(sets.len()));
+                    let expected = tables[i].iter().zip(&tables[j]).all(|(&a, &b)| !a || b);
+                    let got = ss.implies(sets[i], sets[j], &mut stats);
+                    assert_eq!(
+                        got,
+                        Ok(expected),
+                        "{num_latches} latches: set {i} => set {j}"
+                    );
+                }
+            }
+            assert!(stats.containment_calls > 0);
+        }
+    }
+
+    #[test]
+    fn a_raised_interrupt_flag_stops_containment_queries() {
+        let cancel = CancelToken::new();
+        cancel.cancel();
+        let options = Options::default();
+        let budget = RunBudget::arm(&cancel, Instant::now(), &options);
+        let mut ss = StateSpace::new(2, &budget, &options);
+        let (a, b) = (ss.latch(0), ss.latch(1));
+        let mut stats = EngineStats::default();
+        assert_eq!(ss.implies(a, b, &mut stats), Err(Interrupted));
+        assert_eq!(budget.interrupt_reason(), crate::StopReason::Cancelled);
+        assert_eq!(stats.containment_calls, 1, "the stopped query still counts");
+        // Trivial implications need no solver and still answer.
+        assert_eq!(ss.implies(a, a, &mut stats), Ok(true));
+    }
+
+    #[test]
+    fn injected_faults_fire_inside_containment_queries() {
+        let plan = sat::FaultPlan::inject(sat::FaultSite::Alloc, sat::FaultKind::Panic, 1);
+        let mut ss = governed(2, &Options::default().with_faults(plan.clone()));
+        let (a, b) = (ss.latch(0), ss.latch(1));
+        let ab = ss.and(a, b);
+        assert!(!plan.fired(), "encoding is lazy: nothing allocated yet");
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            ss.implies(ab, a, &mut EngineStats::default())
+        }));
+        assert!(
+            outcome.is_err(),
+            "the injected panic must unwind out of implies"
+        );
+        assert!(plan.fired());
     }
 
     #[test]
@@ -173,7 +375,7 @@ mod tests {
         design.set_next(l, !cur);
         design.add_bad(cur);
 
-        let ss = StateSpace::new(1);
+        let ss = space(1);
         let one = ss.latch(0);
 
         let mut unroller = Unroller::new(&design);
@@ -201,7 +403,7 @@ mod tests {
         let _l0 = design.add_latch(false);
         let l1 = design.add_latch(true);
         let _ = l1;
-        let ss = StateSpace::new(1);
+        let ss = space(1);
         let set = ss.latch(0); // "abstract latch is 1"
         let mut unroller = Unroller::new(&design);
         unroller.assert_initial(0);

@@ -184,6 +184,10 @@ pub struct EngineStats {
     pub db_reductions: u64,
     /// Number of interpolants extracted.
     pub interpolants: u64,
+    /// Fixpoint containment checks (`ℐ_j ⇒ R_{j-1}`) decided by a SAT
+    /// query, each also counted in `sat_calls`; implications that hold
+    /// structurally need no query and are not counted.
+    pub containment_calls: u64,
     /// Number of abstraction refinements (CBA engine only).
     pub refinements: u64,
     /// Number of latches visible in the final abstraction (CBA engine only;
@@ -258,6 +262,7 @@ impl EngineStats {
         self.minimized_literals += other.minimized_literals;
         self.db_reductions += other.db_reductions;
         self.interpolants += other.interpolants;
+        self.containment_calls += other.containment_calls;
         self.refinements += other.refinements;
         self.visible_latches = self.visible_latches.max(other.visible_latches);
         self.preprocess_time += other.preprocess_time;
@@ -309,6 +314,9 @@ impl fmt::Display for EngineStats {
         }
         if self.interpolants > 0 {
             write!(f, ", {} interpolants", self.interpolants)?;
+        }
+        if self.containment_calls > 0 {
+            write!(f, ", {} containment checks", self.containment_calls)?;
         }
         if self.refinements > 0 {
             write!(f, ", {} refinements", self.refinements)?;

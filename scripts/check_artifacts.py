@@ -4,11 +4,14 @@
 Each ``--kind`` is one checked artifact contract (previously an inline
 script in ``.github/workflows/ci.yml``):
 
-* ``table1-counters FILE`` — ``itpseq-table1/v6`` JSON: every record
+* ``table1-counters FILE`` — ``itpseq-table1/v7`` JSON: every record
   carries the SAT-core and search counters, the preprocessing reduction
-  counters and the fault-isolation counters, and the suite as a whole
-  exercised minimization, clause deletion and database reduction.
-* ``chaos-counters FILE`` — ``itpseq-table1/v6`` JSON from a ``--chaos``
+  counters, the fault-isolation counters and ``containment_calls``; the
+  suite as a whole exercised minimization, clause deletion and database
+  reduction, and each interpolation engine (ITP, ITPSEQ, SITPSEQ,
+  ITPSEQCBA) counted fixpoint containment queries on at least one proved
+  record.
+* ``chaos-counters FILE`` — ``itpseq-table1/v7`` JSON from a ``--chaos``
   run: fault injection was armed, so the counters must show faults
   actually fired, every verdict must still be a recognised kind, and
   every inconclusive record must carry a machine-readable reason.
@@ -38,6 +41,8 @@ import json
 import sys
 
 
+INTERPOLATING = ["ITP", "ITPSEQ", "SITPSEQ", "ITPSEQCBA"]
+
 FAULT_COUNTERS = [
     "panics_contained",
     "memlimit_hits",
@@ -48,7 +53,7 @@ FAULT_COUNTERS = [
 
 def load_table1(path):
     doc = json.load(open(path))
-    assert doc["schema"] == "itpseq-table1/v6", doc["schema"]
+    assert doc["schema"] == "itpseq-table1/v7", doc["schema"]
     records = doc["records"]
     assert records, "the run produced no records"
     return records
@@ -72,7 +77,7 @@ def check_table1_counters(path):
         "cert_clauses_subsumed",
     ]
     for record in records:
-        for field in reduction + FAULT_COUNTERS:
+        for field in reduction + FAULT_COUNTERS + ["containment_calls"]:
             assert field in record, f"{field} missing from {record['benchmark']}"
 
     for record in records:
@@ -84,6 +89,18 @@ def check_table1_counters(path):
         total = sum(r[counter] for r in records)
         assert total > 0, f"{counter} is zero across the whole smoke suite"
         print(f"total {counter}: {total}")
+    # Every interpolation engine decides its fixpoint checks with counted
+    # containment queries; a proof without one means they went uncounted.
+    for engine in INTERPOLATING:
+        proved = [
+            r
+            for r in records
+            if r["engine"] == engine and r["verdict"] == "proved"
+        ]
+        assert proved, f"{engine} proved nothing on the smoke suite"
+        calls = max(r["containment_calls"] for r in proved)
+        assert calls > 0, f"{engine} proved without a counted containment query"
+        print(f"{engine}: up to {calls} containment calls per proof")
     # Without injection armed, no run may report a fault.
     injected = sum(r["faults_injected"] for r in records)
     assert injected == 0, f"faults reported without injection armed: {injected}"

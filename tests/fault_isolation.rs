@@ -17,7 +17,9 @@
 
 use itpseq::mc::{Engine, EngineResult, Options, StopReason, Verdict};
 use itpseq::sat::{FaultKind, FaultPlan, FaultSite};
+use itpseq::telemetry::{Event, EventKind, Telemetry, TelemetrySink};
 use itpseq::workloads::Benchmark;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 const ENGINES: [Engine; 4] = [Engine::ItpSeq, Engine::Pdr, Engine::Bmc, Engine::Portfolio];
@@ -140,6 +142,66 @@ fn every_fault_site_and_kind_is_contained() {
             }
         }
     }
+}
+
+/// Remembers the span an injected panic fired in: the first span closed
+/// while the thread unwinds is the innermost one open at the panic.
+#[derive(Default)]
+struct LandingSink {
+    landed_in: Mutex<Option<String>>,
+}
+
+impl TelemetrySink for LandingSink {
+    fn record(&self, event: Event) {
+        if event.kind == EventKind::End && std::thread::panicking() {
+            let mut landed = self.landed_in.lock().expect("never held across a panic");
+            landed.get_or_insert(event.name);
+        }
+    }
+}
+
+/// A fault that fires inside a fixpoint containment query (the `contain`
+/// span) is contained like any other: the run survives, never flips its
+/// verdict and reports a machine-readable panic reason.  The allocation
+/// countdown is stepped until the first fault that lands there.
+#[test]
+fn a_fault_in_the_fixpoint_layer_is_contained() {
+    let aig = itpseq::workloads::counter::modular(3, 6, 7);
+    let base = options().with_threads(1);
+    let clean = Engine::ItpSeq.verify(&aig, 0, &base).verdict;
+    assert!(clean.is_proved(), "{clean}");
+    let mut at = 0;
+    let result = loop {
+        at += 1;
+        let sink = Arc::new(LandingSink::default());
+        let chaos = base
+            .clone()
+            .with_faults(FaultPlan::inject(FaultSite::Alloc, FaultKind::Panic, at))
+            .with_telemetry(Telemetry::new(sink.clone()));
+        let result = Engine::ItpSeq.verify(&aig, 0, &chaos);
+        let context = format!("allocation {at}");
+        assert_sound(&context, &clean, &result);
+        assert_eq!(
+            result.stats.faults_injected, 1,
+            "{context}: the run ended before any fault landed in a containment query"
+        );
+        let landed = sink.landed_in.lock().expect("unpoisoned").take();
+        if landed.as_deref() == Some("contain") {
+            break result;
+        }
+    };
+    assert!(result.stats.panics_contained >= 1, "allocation {at}");
+    assert!(
+        matches!(
+            &result.verdict,
+            Verdict::Inconclusive {
+                reason: StopReason::Panic(_),
+                ..
+            }
+        ),
+        "allocation {at}: expected a panic reason, got {}",
+        result.verdict
+    );
 }
 
 /// Chaos runs are reproducible: the same seed yields the same verdict,
