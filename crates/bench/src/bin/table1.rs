@@ -9,10 +9,11 @@
 //! * `--suite full|mid|industrial|smoke` — benchmark selection (default
 //!   `full`; `smoke` is the fast subset CI reruns on every push),
 //! * `--json PATH` — additionally write the records as machine-readable
-//!   JSON (schema `itpseq-table1/v7`, which adds `containment_calls`,
-//!   the fixpoint checks' share of `sat_calls`, on top of v6's
-//!   fault-isolation counters `panics_contained`, `memlimit_hits`,
-//!   `faults_injected` and `pool_seq_reruns`), the artifact CI uploads,
+//!   JSON (schema `itpseq-table1/v8`, which adds `interpolants` on top
+//!   of v7's `containment_calls`, the fixpoint checks' share of
+//!   `sat_calls`, and v6's fault-isolation counters `panics_contained`,
+//!   `memlimit_hits`, `faults_injected` and `pool_seq_reruns`), the
+//!   artifact CI uploads and the depth baseline is checked against,
 //! * `--chaos SEED` — arm a deterministic fault plan per run, derived
 //!   from `SEED` and the run index ([`mc::FaultPlan::seeded`]): each run
 //!   gets one pseudo-random injected fault, which may cost its verdict

@@ -8,10 +8,11 @@
 //!   `Time / k_fp / j_fp` per engine (now including the racing
 //!   portfolio); `--suite` selects a benchmark subset and `--json`
 //!   additionally emits the machine-readable records CI archives
-//!   (schema `itpseq-table1/v7`, which adds `containment_calls`, the
-//!   fixpoint checks' share of `sat_calls`, on top of v6's
-//!   fault-isolation counters `panics_contained`/`memlimit_hits`/
-//!   `faults_injected`/`pool_seq_reruns`),
+//!   (schema `itpseq-table1/v8`, which adds `interpolants` on top of
+//!   v7's `containment_calls`, the fixpoint checks' share of
+//!   `sat_calls`, and v6's fault-isolation counters
+//!   `panics_contained`/`memlimit_hits`/`faults_injected`/
+//!   `pool_seq_reruns`),
 //! * `fig7` — the exact-k versus assume-k scatter for ITPSEQ,
 //! * `ablation_alpha` — the `αs` sweep for the serial sequences.
 //!
@@ -124,7 +125,8 @@ impl RunRecord {
                 r#""preprocess_time_ms":{:.3},"ands_removed":{},"latches_removed":{},"#,
                 r#""inputs_removed":{},"cert_clauses_subsumed":{},"#,
                 r#""panics_contained":{},"memlimit_hits":{},"faults_injected":{},"#,
-                r#""pool_seq_reruns":{},"containment_calls":{},"winner":{}}}"#
+                r#""pool_seq_reruns":{},"containment_calls":{},"interpolants":{},"#,
+                r#""winner":{}}}"#
             ),
             json_escape(&self.benchmark),
             self.engine.name(),
@@ -155,6 +157,7 @@ impl RunRecord {
             self.result.stats.faults_injected,
             self.result.stats.pool_seq_reruns,
             self.result.stats.containment_calls,
+            self.result.stats.interpolants,
             opt_str(self.result.stats.winner),
         )
     }
@@ -503,7 +506,7 @@ pub fn records_to_json(records: &[RunRecord]) -> String {
         .map(|record| format!("    {}", record.to_json()))
         .collect();
     format!(
-        "{{\n  \"schema\": \"itpseq-table1/v7\",\n  \"records\": [\n{}\n  ]\n}}\n",
+        "{{\n  \"schema\": \"itpseq-table1/v8\",\n  \"records\": [\n{}\n  ]\n}}\n",
         body.join(",\n")
     )
 }
@@ -622,6 +625,7 @@ mod tests {
                     faults_injected: 3,
                     pool_seq_reruns: 4,
                     containment_calls: 6,
+                    interpolants: 4,
                     ..Default::default()
                 },
                 certificate: None,
@@ -650,6 +654,7 @@ mod tests {
         assert!(proved.contains(r#""faults_injected":3"#), "{proved}");
         assert!(proved.contains(r#""pool_seq_reruns":4"#), "{proved}");
         assert!(proved.contains(r#""containment_calls":6"#), "{proved}");
+        assert!(proved.contains(r#""interpolants":4"#), "{proved}");
         let falsified = mk(Verdict::Falsified { depth: 7 }).to_json();
         assert!(falsified.contains(r#""depth":7"#), "{falsified}");
         assert!(falsified.contains(r#""k_fp":null"#), "{falsified}");
@@ -680,7 +685,7 @@ mod tests {
             mk(Verdict::Proved { k_fp: 1, j_fp: 1 }),
             mk(Verdict::Falsified { depth: 2 }),
         ]);
-        assert!(document.contains("itpseq-table1/v7"));
+        assert!(document.contains("itpseq-table1/v8"));
         assert_eq!(document.matches("\"benchmark\"").count(), 2);
         let opens = document.matches('{').count();
         assert_eq!(opens, document.matches('}').count());

@@ -16,12 +16,13 @@
 //!   / [`mark_drained`](IncrementalUnroller::mark_drained)) — feed only the
 //!   newly emitted clauses into a long-lived incremental SAT solver, as the
 //!   BMC engine does;
-//! * **snapshot** ([`snapshot_with`](IncrementalUnroller::snapshot_with)) —
-//!   copy the accumulated clauses plus per-bound target clauses into a
-//!   fresh [`Cnf`] for a fresh proof-logging solver, as the interpolation
-//!   engines do (their partition-labelled proofs must come from a solver
-//!   that saw exactly the bound-`k` formula, so only the *encoding* is
-//!   shared there, never the solver).
+//! * **slices** ([`clauses`](IncrementalUnroller::clauses) plus
+//!   [`detached_lit`](IncrementalUnroller::detached_lit) for targets that
+//!   must stay out of the cache) — load a prefix of the accumulated
+//!   clauses and a per-check tail into a fresh proof-logging solver, as
+//!   the interpolation engines do (their partition-labelled proofs must
+//!   come from a solver that saw exactly that check's formula, so only
+//!   the *encoding* is shared there, never the solver).
 //!
 //! Clause and variable allocation order is exactly the order a scratch
 //! `Unroller` driven through the same sequence of operations would
@@ -165,6 +166,34 @@ impl IncrementalUnroller {
         self.core.assert_lit(lit);
     }
 
+    /// Encodes `lit` at `frame` as a scratch unrolling that ends at
+    /// `frame` would, without touching this unroller: against a frame
+    /// cache that holds only the frame's latch variables, with fresh input
+    /// variables numbered from `first_var`, in partition `partition`.
+    /// Returns the cone's clauses (`num_vars` is the next free variable)
+    /// and the literal.
+    ///
+    /// The exact-k target of a cached unrolling is encoded this way: a
+    /// scratch build encodes `bad(k)` on a fresh last frame, while the
+    /// cache may already have filled that frame with next-state cones.
+    pub fn detached_lit(
+        &self,
+        frame: usize,
+        lit: aig::Lit,
+        first_var: u32,
+        partition: u32,
+    ) -> (Cnf, Lit) {
+        let (builder, lit) = self
+            .core
+            .detached_lit(&self.aig, frame, lit, first_var, partition);
+        (builder.into_cnf(), lit)
+    }
+
+    /// Every clause emitted so far, in emission order.
+    pub fn clauses(&self) -> &[Clause] {
+        self.core.clauses()
+    }
+
     /// Total clauses emitted so far (drained or not).
     pub fn num_clauses(&self) -> usize {
         self.core.clauses().len()
@@ -186,21 +215,6 @@ impl IncrementalUnroller {
     /// clauses.
     pub fn mark_drained(&mut self) {
         self.drained = self.core.clauses().len();
-    }
-
-    /// Copies the accumulated clauses plus `extra` per-bound clauses into a
-    /// fresh [`Cnf`] (for a fresh proof-logging solver).  The cache itself
-    /// is not modified: the extra clauses belong to one bound only.
-    pub fn snapshot_with<I>(&self, extra: I) -> Cnf
-    where
-        I: IntoIterator<Item = Clause>,
-    {
-        let mut clauses = self.core.clauses().to_vec();
-        clauses.extend(extra);
-        Cnf {
-            num_vars: self.core.num_vars(),
-            clauses,
-        }
     }
 
     /// Consumes the unroller and returns the accumulated CNF.
@@ -323,20 +337,31 @@ mod tests {
         );
     }
 
+    /// A detached target encodes on a fresh last frame exactly as a
+    /// scratch unrolling ending there does, and leaves the cache alone —
+    /// even after the cache has moved past that frame.
     #[test]
-    fn snapshot_with_keeps_the_cache_untouched() {
+    fn detached_lit_matches_a_scratch_last_frame() {
         let aig = counter2();
         let mut u = IncrementalUnroller::new(&aig);
         u.builder_mut().set_partition(1);
         u.assert_initial(0);
         u.add_frame();
-        let bad = u.bad_lit(1, 0);
+        let (clauses_at_1, vars_at_1) = (u.num_clauses(), u.num_vars());
+        u.add_frame();
         let before = u.num_clauses();
-        let cnf = u.snapshot_with([Clause::new(vec![bad], 3)]);
-        assert_eq!(u.num_clauses(), before, "snapshot must not grow the cache");
-        assert_eq!(cnf.clauses.len(), before + 1);
-        assert_eq!(cnf.clauses.last().unwrap().partition, 3);
-        assert_eq!(cnf.num_vars, u.num_vars());
+        let (cone, lit) = u.detached_lit(1, aig.bad(0), vars_at_1, 3);
+        assert_eq!(u.num_clauses(), before, "the cache must not grow");
+
+        let mut scratch = Unroller::new(&aig);
+        scratch.builder_mut().set_partition(1);
+        scratch.assert_initial(0);
+        scratch.add_frame();
+        scratch.builder_mut().set_partition(3);
+        assert_eq!(scratch.bad_lit(1, 0), lit);
+        assert_eq!(&scratch.clauses()[clauses_at_1..], &cone.clauses[..]);
+        assert_eq!(scratch.num_vars(), cone.num_vars);
+        assert!(cone.clauses.iter().all(|c| c.partition == 3));
     }
 
     #[test]

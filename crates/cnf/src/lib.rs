@@ -15,6 +15,8 @@
 //! * [`incremental::IncrementalUnroller`] — the persistent variant whose
 //!   frames, variable maps and Tseitin caches survive across bounds,
 //!   emitting only delta clauses as the unrolling grows,
+//! * [`Shift`] — the variable relocation that splices a freshly encoded
+//!   frame-0 constraint in front of cached clauses,
 //! * [`bmc`] — the three BMC formulations of the paper (*bound-k*,
 //!   *exact-k*, *exact-assume-k*),
 //! * [`dimacs`] — DIMACS export for debugging and interoperability.
@@ -43,5 +45,5 @@ pub mod unroll;
 
 pub use bmc::{BmcCheck, BmcInstance};
 pub use incremental::IncrementalUnroller;
-pub use types::{Clause, Cnf, CnfBuilder, Lit, Var};
+pub use types::{Clause, Cnf, CnfBuilder, Lit, Shift, Var};
 pub use unroll::Unroller;

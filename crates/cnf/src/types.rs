@@ -223,6 +223,16 @@ impl CnfBuilder {
         CnfBuilder::default()
     }
 
+    /// Creates an empty builder whose first fresh variable is `first`:
+    /// variables `0..first` belong to a formula the clauses will be
+    /// combined with (current partition = 0).
+    pub fn starting_at(first: u32) -> CnfBuilder {
+        CnfBuilder {
+            next_var: first,
+            ..CnfBuilder::default()
+        }
+    }
+
     /// Allocates a fresh variable.
     pub fn new_var(&mut self) -> Var {
         let v = Var(self.next_var);
@@ -280,9 +290,55 @@ impl CnfBuilder {
     }
 }
 
+/// A variable renumbering that relocates an encoding: variables below
+/// `pivot` stay where they are, every other variable moves up by `by`.
+///
+/// The sequence engines splice a freshly encoded frame-0 constraint of
+/// `m` variables behind the `pivot` frame-0 latch variables of a cached
+/// unrolling; shifting the cached clauses by `m` reproduces, variable for
+/// variable, the unrolling a scratch build would have allocated after
+/// that constraint.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct Shift {
+    /// The first variable that moves.
+    pub pivot: u32,
+    /// How far it moves.
+    pub by: u32,
+}
+
+impl Shift {
+    /// The relocated literal.
+    #[inline]
+    pub fn lit(self, lit: Lit) -> Lit {
+        if lit.var().index() < self.pivot {
+            lit
+        } else {
+            Lit(lit.0 + 2 * self.by)
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn shift_keeps_low_variables_and_moves_the_rest() {
+        let shift = Shift { pivot: 3, by: 5 };
+        let low = Lit::negative(Var::new(2));
+        let high = Lit::negative(Var::new(3));
+        assert_eq!(shift.lit(low), low);
+        assert_eq!(shift.lit(high), Lit::negative(Var::new(8)));
+        assert_eq!(shift.lit(!high), Lit::positive(Var::new(8)));
+        assert_eq!(Shift::default().lit(high), high);
+    }
+
+    #[test]
+    fn builders_can_start_past_existing_variables() {
+        let mut b = CnfBuilder::starting_at(4);
+        assert_eq!(b.new_var().index(), 4);
+        assert_eq!(b.num_vars(), 5);
+    }
 
     #[test]
     fn literal_packing_roundtrip() {

@@ -30,6 +30,21 @@ struct Frame {
     cache: HashMap<NodeId, Lit>,
 }
 
+impl Frame {
+    /// A frame whose cache knows only its latch variables.
+    fn fresh(aig: &Aig, latch: Vec<Lit>) -> Frame {
+        let mut cache = HashMap::new();
+        for (i, &lit) in latch.iter().enumerate() {
+            cache.insert(aig.latch_node(i), lit);
+        }
+        Frame {
+            latch,
+            input: vec![None; aig.num_inputs()],
+            cache,
+        }
+    }
+}
+
 /// The design-independent state of a time-frame expansion: the clause
 /// builder plus the per-frame variable maps and Tseitin caches.
 ///
@@ -58,15 +73,31 @@ impl FrameCore {
         let latch: Vec<Lit> = (0..aig.num_latches())
             .map(|_| self.builder.new_lit())
             .collect();
-        let mut cache = HashMap::new();
-        for (i, &lit) in latch.iter().enumerate() {
-            cache.insert(aig.latch_node(i), lit);
-        }
-        self.frames.push(Frame {
-            latch,
-            input: vec![None; aig.num_inputs()],
-            cache,
-        });
+        self.frames.push(Frame::fresh(aig, latch));
+    }
+
+    /// Encodes `lit` at `frame` the way a time-frame expansion whose last
+    /// frame is `frame`, untouched since its latch variables were
+    /// allocated, would: against a cache holding only those latch
+    /// variables, with fresh input variables, allocating from `first_var`,
+    /// in partition `partition`.  `self` is not modified; the returned
+    /// builder holds the cone's clauses.
+    pub(crate) fn detached_lit(
+        &self,
+        aig: &Aig,
+        frame: usize,
+        lit: aig::Lit,
+        first_var: u32,
+        partition: u32,
+    ) -> (CnfBuilder, Lit) {
+        let mut builder = CnfBuilder::starting_at(first_var);
+        builder.set_partition(partition);
+        let mut scratch = FrameCore {
+            builder,
+            frames: vec![Frame::fresh(aig, self.frames[frame].latch.clone())],
+        };
+        let lit = scratch.lit(aig, 0, lit);
+        (scratch.builder, lit)
     }
 
     pub(crate) fn num_frames(&self) -> usize {

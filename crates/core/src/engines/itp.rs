@@ -8,42 +8,106 @@
 //! proves the property or a satisfiable instance forces the bound to grow.
 
 use crate::certificate::{Certificate, InvariantCert, InvariantCone};
+use crate::engines::check::{self, Check};
 use crate::engines::{CancelToken, EngineProbe, RunBudget};
-use crate::state::{encode_state_lit, StateSpace};
+use crate::state::{set_constraint, StateSpace};
 use crate::{EngineResult, EngineStats, Options, Verdict};
 use aig::Aig;
-use cnf::Unroller;
+use cnf::{Cnf, Shift, Unroller};
 use itp::InterpolationContext;
-use sat::{Proof, SolveResult, Solver};
+use sat::{ProofView, SolveResult, Solver};
 use std::collections::HashMap;
 use std::time::Instant;
-use telemetry::{ArgValue, Telemetry};
+use telemetry::ArgValue;
 
-struct BoundInstance {
-    cnf: cnf::Cnf,
+/// Everything of the bound-k check but its frame-0 constraint: frame 0
+/// is free (its latch variables are `0..n`), the transition into frame 1
+/// is partition 1, the later transitions and the bad disjunction
+/// `⋁_{f=1..k} bad(f)` are partition 2.  It is built once per bound and
+/// shared by the reset check and every frontier iteration: a check
+/// splices its constraint (`m` fresh variables from `n` on) in front and
+/// relocates the body by `m`, which reproduces the scratch build
+/// (`build_bound_instance`) variable for variable.
+struct Body {
+    cnf: Cnf,
     frame1_latches: Vec<cnf::Lit>,
     /// Frame-by-frame primary-input variables (cycles `0..=bound`), so a
-    /// satisfiable instance from the real initial states can be read back
-    /// as a replayable counterexample trace.
+    /// satisfiable check from the reset states can be read back as a
+    /// replayable counterexample trace.
     frame_inputs: Vec<Vec<cnf::Lit>>,
 }
 
+impl Body {
+    fn new(design: &Aig, bad_index: usize, bound: usize) -> Body {
+        let mut unroller = Unroller::new(design);
+        unroller.builder_mut().set_partition(1);
+        unroller.add_frame();
+        unroller.builder_mut().set_partition(2);
+        for _ in 2..=bound {
+            unroller.add_frame();
+        }
+        let bads: Vec<cnf::Lit> = (1..=bound)
+            .map(|f| unroller.bad_lit(f, bad_index))
+            .collect();
+        unroller.builder_mut().add_clause(bads);
+        let frame1_latches = unroller.latch_lits(1);
+        // Input variables are clause-free, so pinning them down after the
+        // instance is built never changes its satisfiability or its proofs.
+        let frame_inputs = (0..=bound)
+            .map(|f| {
+                (0..design.num_inputs())
+                    .map(|i| unroller.input_lit(f, i))
+                    .collect()
+            })
+            .collect();
+        Body {
+            cnf: unroller.into_cnf(),
+            frame1_latches,
+            frame_inputs,
+        }
+    }
+
+    /// The check from the frame-0 constraint `init` (over latch variables
+    /// `0..num_latches`, fresh variables from `num_latches` on).
+    fn check<'a>(&'a self, init: &'a Cnf, num_latches: usize) -> Check<'a> {
+        Check::after(init, num_latches, &self.cnf.clauses, &[], self.cnf.num_vars)
+    }
+}
+
+/// The reset units of `design` over frame-0 latch variables `0..n`, in
+/// partition 1.
+fn reset_constraint(design: &Aig) -> Cnf {
+    let mut unroller = Unroller::new(design);
+    unroller.builder_mut().set_partition(1);
+    unroller.assert_initial(0);
+    unroller.into_cnf()
+}
+
 /// Builds the bound-k instance with `A` in partition 1 and `B` in
-/// partition 2.  `init` selects between the reset states and an arbitrary
-/// frontier state set.
+/// partition 2 from scratch: the reference [`Body::check`] is tested
+/// bit-identical against.  `init` selects between the reset states and an
+/// arbitrary frontier state set.
+#[cfg(test)]
 fn build_bound_instance(
     design: &Aig,
     bad_index: usize,
     bound: usize,
     init: Option<(&StateSpace, aig::Lit)>,
     identity: &[usize],
-) -> BoundInstance {
+) -> (Cnf, Vec<cnf::Lit>) {
     let mut unroller = Unroller::new(design);
     unroller.builder_mut().set_partition(1);
     match init {
         None => unroller.assert_initial(0),
         Some((space, set)) => {
-            let lit = encode_state_lit(&mut unroller, 0, space, set, identity);
+            let frame_latches = unroller.latch_lits(0);
+            let lit = crate::state::encode_state_lit(
+                unroller.builder_mut(),
+                &frame_latches,
+                space,
+                set,
+                identity,
+            );
             unroller.assert_lit(lit);
         }
     }
@@ -57,55 +121,17 @@ fn build_bound_instance(
         .collect();
     unroller.builder_mut().add_clause(bads);
     let frame1_latches = unroller.latch_lits(1);
-    // Input variables are clause-free, so pinning them down after the
-    // instance is built never changes its satisfiability or its proofs.
-    let frame_inputs = (0..=bound)
-        .map(|f| {
-            (0..design.num_inputs())
-                .map(|i| unroller.input_lit(f, i))
-                .collect()
-        })
-        .collect();
-    BoundInstance {
-        cnf: unroller.into_cnf(),
-        frame1_latches,
-        frame_inputs,
+    for f in 0..=bound {
+        for i in 0..design.num_inputs() {
+            unroller.input_lit(f, i);
+        }
     }
+    (unroller.into_cnf(), frame1_latches)
 }
 
-fn solve(
-    cnf: &cnf::Cnf,
-    stats: &mut EngineStats,
-    budget: &RunBudget,
-    reduce: Option<u64>,
-    probe: &EngineProbe,
-    telemetry: &Telemetry,
-) -> (SolveResult, Option<Proof>, Solver) {
-    let mut solver = Solver::new();
-    solver.set_reduce_interval(reduce);
-    budget.govern(&mut solver);
-    solver.set_progress_probe(probe.probe());
-    solver.add_cnf(cnf);
-    stats.sat_calls += 1;
-    stats.clauses_encoded += cnf.clauses.len() as u64;
-    let query = telemetry.span_args("sat", || {
-        vec![("clauses", ArgValue::U64(cnf.clauses.len() as u64))]
-    });
-    let result = solver.solve();
-    query.end();
-    stats.add_solver_delta(solver.stats());
-    let proof = if result == SolveResult::Unsat {
-        solver.proof()
-    } else {
-        None
-    };
-    (result, proof, solver)
-}
-
-/// Reads the counterexample input trace off a satisfiable bound instance.
-fn extract_trace(instance: &BoundInstance, solver: &Solver) -> Vec<Vec<bool>> {
-    instance
-        .frame_inputs
+/// Reads the counterexample input trace off a satisfiable reset check.
+fn extract_trace(body: &Body, solver: &Solver) -> Vec<Vec<bool>> {
+    body.frame_inputs
         .iter()
         .map(|frame| {
             frame
@@ -116,16 +142,18 @@ fn extract_trace(instance: &BoundInstance, solver: &Solver) -> Vec<Vec<bool>> {
         .collect()
 }
 
+/// The frame-1 interpolant of a refutation read in place, over the
+/// frame-1 latch variables `frame1_latches` of its check.
 fn extract_interpolant(
-    proof: &Proof,
-    instance: &BoundInstance,
+    proof: ProofView<'_>,
+    frame1_latches: impl Iterator<Item = cnf::Lit>,
     space: &mut StateSpace,
     stats: &mut EngineStats,
 ) -> Result<aig::Lit, String> {
-    let mut var_to_latch: HashMap<u32, usize> = HashMap::new();
-    for (latch, lit) in instance.frame1_latches.iter().enumerate() {
-        var_to_latch.insert(lit.var().index(), latch);
-    }
+    let var_to_latch: HashMap<u32, usize> = frame1_latches
+        .enumerate()
+        .map(|(latch, lit)| (lit.var().index(), latch))
+        .collect();
     let latch_lits: Vec<aig::Lit> = (0..space.num_latches()).map(|i| space.latch(i)).collect();
     let ctx = InterpolationContext::new(proof).map_err(|e| e.to_string())?;
     let itp = ctx
@@ -188,6 +216,8 @@ pub fn verify_with_cancel(
     let mut space = StateSpace::new(design.num_latches(), &budget, options);
     let s0 = space.initial_states(design);
     let identity: Vec<usize> = (0..design.num_latches()).collect();
+    let num_latches = design.num_latches();
+    let reset = reset_constraint(design);
 
     for k in 1..=options.max_bound {
         if let Some(reason) = budget.stop_reason() {
@@ -203,12 +233,18 @@ pub fn verify_with_cancel(
         }
         let _bound = telemetry.span_args("bound", || vec![("k", ArgValue::U64(k as u64))]);
         probe.set_bound(k);
-        // Initial check from the real initial states.
+        if k > 1 {
+            // `R` restarts from `S0`: no earlier state set is queried again.
+            space.restart_solver(&budget, options);
+        }
+        let encode = telemetry.span("encode");
         let encode_start = Instant::now();
-        let instance = build_bound_instance(design, bad_index, k, None, &identity);
+        let body = Body::new(design, bad_index, k);
         stats.encode_time += encode_start.elapsed();
-        let (result, proof, solver) = solve(
-            &instance.cnf,
+        encode.end();
+        // Initial check from the real initial states.
+        let (result, solver) = check::solve(
+            &body.check(&reset, num_latches),
             &mut stats,
             &budget,
             options.reduce_interval(),
@@ -220,10 +256,9 @@ pub fn verify_with_cancel(
             // length exactly k.
             let cert = options
                 .certificates
-                .then(|| Certificate::Trace(extract_trace(&instance, &solver)));
+                .then(|| Certificate::Trace(extract_trace(&body, &solver)));
             return finish(stats, Verdict::Falsified { depth: k }, cert, start);
         }
-        drop(solver);
         if result == SolveResult::Interrupted {
             return finish(
                 stats,
@@ -235,8 +270,8 @@ pub fn verify_with_cancel(
                 start,
             );
         }
-        let mut proof = proof.expect("unsat result has a proof");
-        let mut instance = instance;
+        let mut solver = solver;
+        let mut shift = Shift::default();
         let mut reached = s0;
         let mut j = 0usize;
         loop {
@@ -247,7 +282,12 @@ pub fn verify_with_cancel(
                     ("j", ArgValue::U64(j as u64)),
                 ]
             });
-            let extracted = extract_interpolant(&proof, &instance, &mut space, &mut stats);
+            let extracted = extract_interpolant(
+                solver.proof_view().expect("unsat result has a proof"),
+                body.frame1_latches.iter().map(|&lit| shift.lit(lit)),
+                &mut space,
+                &mut stats,
+            );
             interpolate.end();
             let itp = match extracted {
                 Ok(itp) => itp,
@@ -308,11 +348,15 @@ pub fn verify_with_cancel(
                     start,
                 );
             }
+            let encode = telemetry.span("encode");
             let encode_start = Instant::now();
-            instance = build_bound_instance(design, bad_index, k, Some((&space, itp)), &identity);
+            let frontier = set_constraint(&space, itp, &identity, num_latches);
             stats.encode_time += encode_start.elapsed();
-            let (result, next_proof, _) = solve(
-                &instance.cnf,
+            encode.end();
+            let check = body.check(&frontier, num_latches);
+            shift = check.shift;
+            let (result, next) = check::solve(
+                &check,
                 &mut stats,
                 &budget,
                 options.reduce_interval(),
@@ -334,7 +378,7 @@ pub fn verify_with_cancel(
                     start,
                 );
             }
-            proof = next_proof.expect("unsat result has a proof");
+            solver = next;
         }
     }
 
@@ -352,6 +396,7 @@ pub fn verify_with_cancel(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engines::CancelToken;
     use crate::Options;
     use aig::builder::{latch_word, word_equals_const, word_increment, word_mux};
 
@@ -400,6 +445,56 @@ mod tests {
                     assert_eq!(got.verdict, Verdict::Falsified { depth }, "bad_at={bad_at}")
                 }
                 bdd::BddVerdict::Overflow => unreachable!("tiny design cannot overflow"),
+            }
+        }
+    }
+
+    /// A check cut from the per-bound body is the scratch build, from the
+    /// reset states and from frontier sets alike: same clauses, order,
+    /// variable numbering, partitions and frame-1 latch variables.
+    #[test]
+    fn body_checks_are_bit_identical_to_scratch_builds() {
+        let mut designs = vec![modular_counter(3, 6, 7), modular_counter(4, 12, 15)];
+        designs.extend(
+            workloads::suite::full()
+                .into_iter()
+                .filter(|b| b.aig.num_latches() <= 12)
+                .take(3)
+                .map(|b| b.aig),
+        );
+        let options = Options::default();
+        let budget = RunBudget::arm(&CancelToken::new(), Instant::now(), &options);
+        for design in &designs {
+            let n = design.num_latches();
+            let identity: Vec<usize> = (0..n).collect();
+            let mut space = StateSpace::new(n, &budget, &options);
+            let mut frontiers = vec![space.initial_states(design), aig::Lit::TRUE];
+            for i in 0..n {
+                let latch = space.latch(i);
+                let last = *frontiers.last().expect("non-empty");
+                let grown = space.or(last, latch.xor_complement(i % 2 == 0));
+                frontiers.push(space.and(grown, !frontiers[i]));
+            }
+            let reset = reset_constraint(design);
+            for k in 1..=4 {
+                let body = Body::new(design, 0, k);
+                let check = body.check(&reset, n);
+                let (cnf, frame1) = build_bound_instance(design, 0, k, None, &identity);
+                assert_eq!(check.to_cnf(), cnf, "reset check at bound {k}");
+                assert_eq!(body.frame1_latches, frame1);
+                for &frontier in &frontiers {
+                    let constraint = set_constraint(&space, frontier, &identity, n);
+                    let check = body.check(&constraint, n);
+                    let (cnf, frame1) =
+                        build_bound_instance(design, 0, k, Some((&space, frontier)), &identity);
+                    assert_eq!(check.to_cnf(), cnf, "frontier check at bound {k}");
+                    let shifted: Vec<cnf::Lit> = body
+                        .frame1_latches
+                        .iter()
+                        .map(|&lit| check.shift.lit(lit))
+                        .collect();
+                    assert_eq!(shifted, frame1);
+                }
             }
         }
     }

@@ -8,6 +8,7 @@
 //! live in [`crate::multi`].
 
 pub mod bmc;
+pub(crate) mod check;
 pub mod itp;
 pub mod itpseq;
 pub mod itpseq_cba;

@@ -18,13 +18,14 @@
 
 use crate::abstraction::Abstraction;
 use crate::certificate::{Certificate, InvariantCert, InvariantCone};
+use crate::engines::check::{self, Check};
 use crate::engines::{CancelToken, EngineProbe, RunBudget};
-use crate::state::{encode_state_lit, Interrupted, StateSpace};
+use crate::state::{set_constraint, Interrupted, StateSpace};
 use crate::{EngineResult, EngineStats, Options, Verdict};
 use aig::Aig;
 use cnf::{BmcCheck, Clause, IncrementalUnroller, Unroller};
 use itp::InterpolationContext;
-use sat::{Proof, SolveResult, Solver};
+use sat::{ProofView, SolveResult, Solver};
 use std::collections::HashMap;
 use std::time::Instant;
 use telemetry::{ArgValue, Telemetry};
@@ -41,121 +42,243 @@ pub(crate) struct SeqConfig {
 }
 
 /// How frame 0 of an unrolling is constrained.
-enum InitKind<'a> {
-    /// The design's reset state.  The engine itself now serves reset
-    /// instances from [`CachedUnrolling`]; this variant remains as the
-    /// scratch reference the cache is tested bit-identical against.
-    #[cfg_attr(not(test), allow(dead_code))]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum InitKind {
+    /// The design's reset state: the main bound loop.
     Reset,
-    /// An arbitrary symbolic state set (used by serial steps).
-    Set {
-        space: &'a StateSpace,
-        set: aig::Lit,
-        concrete_to_model: &'a [usize],
-    },
+    /// An arbitrary symbolic state set: the serial steps of Fig. 4 and the
+    /// parallel remainder.  A cached unrolling of this kind leaves frame 0
+    /// free; each instance's state set is encoded on its own and spliced
+    /// in front of the cached clauses when the check is loaded.
+    Set,
 }
 
-/// A built (partitioned) unrolling plus its frame variable maps.
-struct SeqInstance {
-    cnf: cnf::Cnf,
+/// Where the instance with `t` transitions ends inside a
+/// [`CachedUnrolling`].
+#[derive(Debug)]
+struct Target {
+    /// The cached clauses `0..end` open the instance.
+    end: usize,
+    /// The clauses that follow them: the exact-k cone of `bad(t)` (when
+    /// it is not part of the cache), then the target unit.
+    tail: Vec<Clause>,
+    /// Variables of the instance, not counting a spliced state set.
+    num_vars: u32,
+}
+
+/// A bounded check built from a [`CachedUnrolling`], plus its frame
+/// variable maps.
+struct SeqInstance<'a> {
+    check: Check<'a>,
     frame_latches: Vec<Vec<cnf::Lit>>,
 }
 
-/// The per-run unrolling cache of the main bound loop: a persistent
-/// [`IncrementalUnroller`] that keeps the reset-state unrolling of the
-/// (possibly abstract) model alive across bounds, so growing the bound
-/// only Tseitin-encodes the new frame instead of all `k` of them.
+/// A per-model cache of the partitioned unrolling every sequence-engine
+/// check is cut from: a persistent [`IncrementalUnroller`] that keeps its
+/// frames, variable maps and Tseitin caches alive, so growing the bound
+/// only encodes the new frame, and an instance at any bound reached so
+/// far is a slice of the cache plus a short tail.
 ///
-/// The produced instances are **bit-identical** to what
-/// [`build_instance`] with [`InitKind::Reset`] builds from scratch — same
-/// clauses, same order, same variable numbering, same partition labels —
-/// because frame `f`'s clauses carry the same partition (`f + 1`) at every
-/// bound and the bad cone of frame `f` always lands in partition `f + 2`
-/// whether it is encoded as the bound-`f` target or as the assume-`k`
-/// property constraint of a later bound (the tests pin this equality
-/// down).  Only the per-bound target *unit* differs between bounds, so it
-/// is kept out of the cache and appended to each snapshot.
+/// Every instance is **bit-identical** to the scratch `build_instance`
+/// — same clauses, same order, same variable numbering, same partition
+/// labels — because frame `f`'s transition always carries partition
+/// `f + 1` and the bad cone of frame `f` always lands in partition
+/// `f + 2`, whether it is encoded as the target with `f` transitions or
+/// as the assume-k property constraint of a longer instance (the tests pin
+/// this equality down):
 ///
-/// The proof-logging SAT solver is deliberately *not* shared: every bound
-/// solves a fresh snapshot, because the interpolation queries need a
-/// refutation of exactly the bound-`k` partition layout.
+/// * **Reset** caches serve the main bound loop: frame 0 carries the reset
+///   units, assume-k constrains frames `1..k`.
+/// * **Set** caches serve the state-set instances, one cache per model:
+///   frame 0 is free (its latch variables are `0..n`) and assume-k
+///   constrains every frame `0..t-1`.  The instance adds the encoded set
+///   (`m` fresh variables from `n` on) in front, and every cached variable
+///   `≥ n` moves up by `m` ([`cnf::Shift`]): a scratch build allocates the
+///   set's variables before the first transition, and the unrolling never
+///   reads them.
+///
+/// Under assume-k, `bad(t)`'s cone is part of the cache (the next frame
+/// assumes it), so the instance ends right after that cone and appends
+/// the target unit.  Under exact-k, longer instances never encode it:
+/// the instance ends with frame `t`'s transition, and its tail is
+/// `bad(t)`'s cone encoded on a fresh frame-`t` cache, numbered from the
+/// cache's variable count at that point — exactly what a scratch build
+/// sees.  Tails are kept per `t`.
+///
+/// The proof-logging SAT solver is deliberately *not* shared: every check
+/// is loaded into a fresh solver ([`check::solve`]), because the
+/// interpolation queries need a refutation of exactly that instance's
+/// partition layout.
 struct CachedUnrolling {
     unroller: IncrementalUnroller,
     bad_index: usize,
     check: BmcCheck,
+    init: InitKind,
     /// Frames unrolled so far (0 = only the initial frame).
     bound: usize,
+    /// `frame_ends[f]`: clause and variable counts right after frame
+    /// `f`'s transition.
+    frame_ends: Vec<(usize, u32)>,
+    /// `targets[t]`: the instance with `t` transitions, once encoded.
+    targets: Vec<Option<Target>>,
+    /// The state-set constraint of the latest `Set` instance.
+    constraint: cnf::Cnf,
 }
 
 impl CachedUnrolling {
-    fn new(model: &Aig, bad_index: usize, check: BmcCheck) -> CachedUnrolling {
+    fn new(model: &Aig, bad_index: usize, check: BmcCheck, init: InitKind) -> CachedUnrolling {
         let mut unroller = IncrementalUnroller::new(model);
         unroller.builder_mut().set_partition(1);
-        unroller.assert_initial(0);
+        if init == InitKind::Reset {
+            unroller.assert_initial(0);
+        }
+        let frame_ends = vec![(unroller.num_clauses(), unroller.num_vars())];
         CachedUnrolling {
             unroller,
             bad_index,
             check,
+            init,
             bound: 0,
+            frame_ends,
+            targets: Vec::new(),
+            constraint: cnf::Cnf::new(),
         }
     }
 
     /// Extends the cached unrolling to `k` frames, mirroring the frame
-    /// loop of [`build_instance`] (partition `f + 1` per transition, plus
+    /// loop of `build_instance` (partition `f + 1` per transition, plus
     /// the assume-k property constraint on the previous frame).
     fn ensure_bound(&mut self, k: usize) {
+        let first_assumed = match self.init {
+            InitKind::Reset => 2,
+            InitKind::Set => 1,
+        };
         while self.bound < k {
             let f = self.bound + 1;
             self.unroller.builder_mut().set_partition((f + 1) as u32);
-            if self.check == BmcCheck::ExactAssume && f >= 2 {
-                let bad_prev = self.unroller.bad_lit(f - 1, self.bad_index);
+            if self.check == BmcCheck::ExactAssume && f >= first_assumed {
+                let bad_prev = self.encode_assumed_target(f - 1);
                 self.unroller.assert_lit(!bad_prev);
             }
             self.unroller.add_frame();
+            self.frame_ends
+                .push((self.unroller.num_clauses(), self.unroller.num_vars()));
             self.bound = f;
         }
     }
 
-    /// Produces the full bound-`k` instance for a fresh proof solver,
-    /// reusing every cached frame encoding.
-    fn instance(&mut self, k: usize, stats: &mut EngineStats) -> SeqInstance {
+    /// Under assume-k: encodes `bad(t)` into the cache in partition
+    /// `t + 2` (unless an earlier request did) and records the instance
+    /// with `t` transitions as ending right after it.
+    fn encode_assumed_target(&mut self, t: usize) -> cnf::Lit {
+        if let Some(Some(target)) = self.targets.get(t) {
+            return target.tail[0].lits[0];
+        }
+        let partition = (t + 2) as u32;
+        self.unroller.builder_mut().set_partition(partition);
+        let bad = self.unroller.bad_lit(t, self.bad_index);
+        self.record(
+            t,
+            Target {
+                end: self.unroller.num_clauses(),
+                tail: vec![Clause::new(vec![bad], partition)],
+                num_vars: self.unroller.num_vars(),
+            },
+        );
+        bad
+    }
+
+    fn record(&mut self, t: usize, target: Target) {
+        if self.targets.len() <= t {
+            self.targets.resize_with(t + 1, || None);
+        }
+        self.targets[t] = Some(target);
+    }
+
+    /// The instance with `t` transitions, built inside an `encode` span
+    /// and timed into `stats.encode_time`.  A `Set` cache encodes `set`
+    /// (a state set of `space`, whose dimensions `latch_map` maps to model
+    /// latches) and splices it in front.
+    fn instance(
+        &mut self,
+        t: usize,
+        set: Option<(&StateSpace, aig::Lit, &[usize])>,
+        stats: &mut EngineStats,
+        telemetry: &Telemetry,
+    ) -> SeqInstance<'_> {
+        let _encode = telemetry.span("encode");
         let encode_start = Instant::now();
-        self.ensure_bound(k);
-        let target_partition = (k + 2) as u32;
-        let cnf = match self.check {
-            BmcCheck::ExactAssume => {
-                // The bad cone of frame k belongs in the cache: the next
-                // bound re-uses it for its property assumption (and it
-                // carries the same partition label either way).
-                self.unroller.builder_mut().set_partition(target_partition);
-                let bad = self.unroller.bad_lit(k, self.bad_index);
-                self.unroller
-                    .snapshot_with([Clause::new(vec![bad], target_partition)])
+        self.ensure_bound(t);
+        if !matches!(self.targets.get(t), Some(Some(_))) {
+            match self.check {
+                BmcCheck::ExactAssume => {
+                    // Growth records every earlier target, so only the
+                    // deepest frame can still lack one.
+                    debug_assert_eq!(t, self.bound);
+                    self.encode_assumed_target(t);
+                }
+                BmcCheck::Exact | BmcCheck::Bound => {
+                    let (end, first_var) = self.frame_ends[t];
+                    let partition = (t + 2) as u32;
+                    let bad = self.unroller.aig().bad(self.bad_index);
+                    let (cone, lit) = self.unroller.detached_lit(t, bad, first_var, partition);
+                    let mut tail = cone.clauses;
+                    tail.push(Clause::new(vec![lit], partition));
+                    self.record(
+                        t,
+                        Target {
+                            end,
+                            tail,
+                            num_vars: cone.num_vars,
+                        },
+                    );
+                }
             }
-            BmcCheck::Exact | BmcCheck::Bound => {
-                // exact-k never re-visits earlier bad cones, so the target
-                // cone must *not* leak into the cache — encode it on a
-                // throwaway clone, exactly as a scratch build would.
-                let mut scratch = self.unroller.clone();
-                scratch.builder_mut().set_partition(target_partition);
-                let bad = scratch.bad_lit(k, self.bad_index);
-                scratch.assert_lit(bad);
-                scratch.into_cnf()
+        }
+        let pivot = self.unroller.latch_lits(0).len() as u32;
+        self.constraint = match set {
+            Some((space, set, latch_map)) => {
+                debug_assert_eq!(self.init, InitKind::Set);
+                set_constraint(space, set, latch_map, pivot as usize)
             }
+            None => cnf::Cnf::new(),
         };
-        let frame_latches = (0..=k).map(|f| self.unroller.latch_lits(f)).collect();
+        let target = self.targets[t].as_ref().expect("encoded above");
+        let check = Check::after(
+            &self.constraint,
+            pivot as usize,
+            &self.unroller.clauses()[..target.end],
+            &target.tail,
+            target.num_vars,
+        );
+        let frame_latches = (0..=t)
+            .map(|f| {
+                self.unroller
+                    .latch_lits(f)
+                    .into_iter()
+                    .map(|lit| check.shift.lit(lit))
+                    .collect()
+            })
+            .collect();
         stats.encode_time += encode_start.elapsed();
-        SeqInstance { cnf, frame_latches }
+        SeqInstance {
+            check,
+            frame_latches,
+        }
     }
 }
 
-/// Builds the partitioned unrolling of `model` covering `transitions` steps,
-/// where sub-frame 0 corresponds to absolute frame `offset` of a bound
-/// `total_bound` problem.
+/// Builds the partitioned unrolling of `model` covering `transitions` steps
+/// from scratch, where sub-frame 0 corresponds to absolute frame `offset`
+/// of a bound `total_bound` problem, from the reset state or from `set`:
+/// the reference every [`CachedUnrolling`] instance is tested
+/// bit-identical against.
 ///
 /// Partition layout: 1 = the initial constraint, `1 + f` = the transition
 /// into sub-frame `f` (plus the assume-k property assumption on sub-frame
 /// `f - 1` when applicable), `transitions + 2` = the `¬p` target.
+#[cfg(test)]
+#[allow(clippy::too_many_arguments)]
 fn build_instance(
     model: &Aig,
     bad_index: usize,
@@ -163,18 +286,21 @@ fn build_instance(
     offset: usize,
     total_bound: usize,
     check: BmcCheck,
-    init: InitKind<'_>,
-) -> SeqInstance {
+    set: Option<(&StateSpace, aig::Lit, &[usize])>,
+) -> (cnf::Cnf, Vec<Vec<cnf::Lit>>) {
     let mut unroller = Unroller::new(model);
     unroller.builder_mut().set_partition(1);
-    match init {
-        InitKind::Reset => unroller.assert_initial(0),
-        InitKind::Set {
-            space,
-            set,
-            concrete_to_model,
-        } => {
-            let lit = encode_state_lit(&mut unroller, 0, space, set, concrete_to_model);
+    match set {
+        None => unroller.assert_initial(0),
+        Some((space, set, concrete_to_model)) => {
+            let frame_latches = unroller.latch_lits(0);
+            let lit = crate::state::encode_state_lit(
+                unroller.builder_mut(),
+                &frame_latches,
+                space,
+                set,
+                concrete_to_model,
+            );
             unroller.assert_lit(lit);
         }
     }
@@ -193,39 +319,7 @@ fn build_instance(
     let bad = unroller.bad_lit(transitions, bad_index);
     unroller.assert_lit(bad);
     let frame_latches = (0..=transitions).map(|f| unroller.latch_lits(f)).collect();
-    SeqInstance {
-        cnf: unroller.into_cnf(),
-        frame_latches,
-    }
-}
-
-fn solve(
-    cnf: &cnf::Cnf,
-    stats: &mut EngineStats,
-    budget: &RunBudget,
-    reduce: Option<u64>,
-    probe: &EngineProbe,
-    telemetry: &Telemetry,
-) -> (SolveResult, Option<Proof>) {
-    let mut solver = Solver::new();
-    solver.set_reduce_interval(reduce);
-    budget.govern(&mut solver);
-    solver.set_progress_probe(probe.probe());
-    solver.add_cnf(cnf);
-    stats.sat_calls += 1;
-    stats.clauses_encoded += cnf.clauses.len() as u64;
-    let query = telemetry.span_args("sat", || {
-        vec![("clauses", ArgValue::U64(cnf.clauses.len() as u64))]
-    });
-    let result = solver.solve();
-    query.end();
-    stats.add_solver_delta(solver.stats());
-    let proof = if result == SolveResult::Unsat {
-        solver.proof()
-    } else {
-        None
-    };
-    (result, proof)
+    (unroller.into_cnf(), frame_latches)
 }
 
 /// Re-derives a replayable input trace for a bound-`bound` falsification
@@ -247,7 +341,9 @@ fn falsification_trace(
     reduce: Option<u64>,
     stats: &mut EngineStats,
     budget: &RunBudget,
+    telemetry: &Telemetry,
 ) -> Option<Vec<Vec<bool>>> {
+    let encode = telemetry.span("encode");
     let encode_start = Instant::now();
     let mut unroller = Unroller::new(model);
     unroller.assert_initial(0);
@@ -272,6 +368,7 @@ fn falsification_trace(
     stats.sat_calls += 1;
     stats.clauses_encoded += cnf.clauses.len() as u64;
     stats.encode_time += encode_start.elapsed();
+    encode.end();
     let result = solver.solve();
     stats.add_solver_delta(solver.stats());
     if result != SolveResult::Sat {
@@ -290,18 +387,19 @@ fn falsification_trace(
     )
 }
 
-/// Extracts the interpolants at the given sub-instance cuts, mapping shared
-/// frame variables to state-space latches.
+/// Extracts the interpolants at the given sub-instance cuts from a
+/// refutation read in place, mapping shared frame variables to
+/// state-space latches.
 fn extract_interpolants(
-    proof: &Proof,
-    instance: &SeqInstance,
+    proof: ProofView<'_>,
+    frame_latches: &[Vec<cnf::Lit>],
     cuts: &[u32],
     space: &mut StateSpace,
     model_to_concrete: &[usize],
     stats: &mut EngineStats,
 ) -> Result<Vec<aig::Lit>, String> {
     let mut var_to_latch: HashMap<u32, usize> = HashMap::new();
-    for lits in &instance.frame_latches {
+    for lits in frame_latches {
         for (model_latch, lit) in lits.iter().enumerate() {
             var_to_latch.insert(lit.var().index(), model_to_concrete[model_latch]);
         }
@@ -320,25 +418,82 @@ fn extract_interpolants(
     Ok(itps)
 }
 
+/// The shared state of one bound's interpolation-sequence computation.
+struct SequenceRun<'r> {
+    reduce: Option<u64>,
+    probe: &'r EngineProbe,
+    budget: &'r RunBudget,
+    telemetry: &'r Telemetry,
+    model_to_concrete: &'r [usize],
+    concrete_to_model: &'r [usize],
+}
+
+impl SequenceRun<'_> {
+    /// Refutes the instance with `transitions` steps from `set` (the
+    /// model's `Set` cache supplies everything but the set) and returns
+    /// the interpolants at `cuts` of its refutation.
+    #[allow(clippy::too_many_arguments)]
+    fn interpolate_from(
+        &self,
+        template: &mut CachedUnrolling,
+        set: aig::Lit,
+        transitions: usize,
+        cuts: &[u32],
+        what: &str,
+        space: &mut StateSpace,
+        stats: &mut EngineStats,
+    ) -> Result<Vec<aig::Lit>, crate::types::StopReason> {
+        use crate::types::StopReason;
+        let (instance_latches, (result, solver)) = {
+            let set = Some((&*space, set, self.concrete_to_model));
+            let instance = template.instance(transitions, set, stats, self.telemetry);
+            let solved = check::solve(
+                &instance.check,
+                stats,
+                self.budget,
+                self.reduce,
+                self.probe,
+                self.telemetry,
+            );
+            (instance.frame_latches, solved)
+        };
+        match result {
+            SolveResult::Unsat => {}
+            SolveResult::Sat => {
+                return Err(StopReason::other(format!(
+                    "{what} was unexpectedly satisfiable"
+                )));
+            }
+            SolveResult::Interrupted => return Err(self.budget.interrupt_reason()),
+        }
+        let proof = solver.proof_view().expect("unsat result has a proof");
+        extract_interpolants(
+            proof,
+            &instance_latches,
+            cuts,
+            space,
+            self.model_to_concrete,
+            stats,
+        )
+        .map_err(StopReason::other)
+    }
+}
+
 /// Computes the interpolation sequence `I_1 … I_k` for bound `k`, given the
-/// already-refuted full instance and its proof, using the serial/parallel
-/// mix requested by `alpha_serial` (Fig. 4).
+/// already-refuted full instance (its frame maps and its solver's proof),
+/// using the serial/parallel mix requested by `alpha_serial` (Fig. 4).
+/// The serial steps and the parallel remainder are cut from the model's
+/// `Set` cache `template`.
 #[allow(clippy::too_many_arguments)]
 fn compute_sequence(
-    model: &Aig,
+    run: &SequenceRun<'_>,
+    template: &mut CachedUnrolling,
     bound: usize,
-    check: BmcCheck,
     alpha_serial: f64,
-    reduce: Option<u64>,
-    probe: &EngineProbe,
     space: &mut StateSpace,
-    model_to_concrete: &[usize],
-    concrete_to_model: &[usize],
-    full_instance: &SeqInstance,
-    full_proof: &Proof,
+    full_latches: &[Vec<cnf::Lit>],
+    full_proof: ProofView<'_>,
     stats: &mut EngineStats,
-    budget: &RunBudget,
-    telemetry: &Telemetry,
 ) -> Result<Vec<aig::Lit>, crate::types::StopReason> {
     use crate::types::StopReason;
     let n = bound + 1;
@@ -349,92 +504,53 @@ fn compute_sequence(
     // refutation.  The first step reuses the proof of the full instance
     // (its A side is exactly S0 ∧ A_1).
     for j in 1..=serial {
-        let (instance, proof) = if j == 1 {
-            (None, full_proof.clone())
+        let itp = if j == 1 {
+            extract_interpolants(
+                full_proof,
+                full_latches,
+                &[2],
+                space,
+                run.model_to_concrete,
+                stats,
+            )
+            .map_err(StopReason::other)?
         } else {
             let prev = sequence[j - 2];
-            let encode_start = Instant::now();
-            let inst = build_instance(
-                model,
-                0,
-                bound - j + 1,
-                j - 1,
-                bound,
-                check,
-                InitKind::Set {
-                    space,
-                    set: prev,
-                    concrete_to_model,
-                },
-            );
-            stats.encode_time += encode_start.elapsed();
-            let (result, proof) = solve(&inst.cnf, stats, budget, reduce, probe, telemetry);
-            match result {
-                SolveResult::Unsat => {}
-                SolveResult::Sat => {
-                    return Err(StopReason::other(format!(
-                        "serial interpolation step {j} was unexpectedly satisfiable"
-                    )));
-                }
-                SolveResult::Interrupted => return Err(budget.interrupt_reason()),
-            }
-            (Some(inst), proof.expect("unsat result has a proof"))
+            let what = format!("serial interpolation step {j}");
+            run.interpolate_from(template, prev, bound - j + 1, &[2], &what, space, stats)?
         };
-        let inst_ref = instance.as_ref().unwrap_or(full_instance);
-        let itp = extract_interpolants(&proof, inst_ref, &[2], space, model_to_concrete, stats)
-            .map_err(StopReason::other)?;
         sequence.push(itp[0]);
     }
 
     // Parallel part: the remaining elements all come from one proof.
     if serial < bound {
-        if serial == 0 {
+        let itps = if serial == 0 {
             // Plain interpolation sequence: every element from the proof of
             // the full instance.
             let cuts: Vec<u32> = (2..=(bound + 1) as u32).collect();
-            let itps = extract_interpolants(
+            extract_interpolants(
                 full_proof,
-                full_instance,
+                full_latches,
                 &cuts,
                 space,
-                model_to_concrete,
+                run.model_to_concrete,
                 stats,
             )
-            .map_err(StopReason::other)?;
-            sequence.extend(itps);
+            .map_err(StopReason::other)?
         } else {
             let prev = sequence[serial - 1];
-            let encode_start = Instant::now();
-            let inst = build_instance(
-                model,
-                0,
-                bound - serial,
-                serial,
-                bound,
-                check,
-                InitKind::Set {
-                    space,
-                    set: prev,
-                    concrete_to_model,
-                },
-            );
-            stats.encode_time += encode_start.elapsed();
-            let (result, proof) = solve(&inst.cnf, stats, budget, reduce, probe, telemetry);
-            match result {
-                SolveResult::Unsat => {}
-                SolveResult::Sat => {
-                    return Err(StopReason::other(
-                        "parallel remainder of the serial sequence was unexpectedly satisfiable",
-                    ));
-                }
-                SolveResult::Interrupted => return Err(budget.interrupt_reason()),
-            }
-            let proof = proof.expect("unsat result has a proof");
             let cuts: Vec<u32> = (2..=(bound - serial + 1) as u32).collect();
-            let itps = extract_interpolants(&proof, &inst, &cuts, space, model_to_concrete, stats)
-                .map_err(StopReason::other)?;
-            sequence.extend(itps);
-        }
+            run.interpolate_from(
+                template,
+                prev,
+                bound - serial,
+                &cuts,
+                "parallel remainder of the serial sequence",
+                space,
+                stats,
+            )?
+        };
+        sequence.extend(itps);
     }
     debug_assert_eq!(sequence.len(), bound);
     Ok(sequence)
@@ -622,9 +738,11 @@ pub(crate) fn run(
     };
     stats.visible_latches = abstraction.num_visible();
     let mut current = abstraction.abstract_model(design, bad_index);
-    // The unrolling cache of the current model; dropped on refinement
-    // (the abstract model — and with it every frame encoding — changes).
+    // The unrolling caches of the current model (reset-state and
+    // state-set); dropped on refinement (the abstract model — and with it
+    // every frame encoding — changes).
     let mut cache: Option<CachedUnrolling> = None;
+    let mut set_cache: Option<CachedUnrolling> = None;
 
     let finish = |mut stats: EngineStats,
                   verdict: Verdict,
@@ -660,16 +778,17 @@ pub(crate) fn run(
         // interleaved with abstraction refinement.  The reset-state
         // unrolling comes from the per-model cache, so only the new frame
         // is Tseitin-encoded when the bound grows.
-        let (instance, proof) = loop {
+        let (frame_latches, solver) = loop {
             let (model, _) = &current;
             // The abstract model carries exactly one bad-state literal —
             // the copy of `bad_index` — at index 0 (passing the concrete
             // index here panicked on every property but the first).
-            let instance = cache
-                .get_or_insert_with(|| CachedUnrolling::new(model, 0, options.check))
-                .instance(k, &mut stats);
-            let (result, proof) = solve(
-                &instance.cnf,
+            let cached = cache.get_or_insert_with(|| {
+                CachedUnrolling::new(model, 0, options.check, InitKind::Reset)
+            });
+            let instance = cached.instance(k, None, &mut stats, telemetry);
+            let (result, solver) = check::solve(
+                &instance.check,
                 &mut stats,
                 &budget,
                 options.reduce_interval(),
@@ -677,7 +796,7 @@ pub(crate) fn run(
                 telemetry,
             );
             match result {
-                SolveResult::Unsat => break (instance, proof.expect("unsat result has a proof")),
+                SolveResult::Unsat => break (instance.frame_latches, solver),
                 SolveResult::Interrupted => {
                     return finish(
                         stats,
@@ -690,6 +809,7 @@ pub(crate) fn run(
                     );
                 }
                 SolveResult::Sat => {
+                    drop(solver);
                     if !config.use_cba || abstraction.is_complete(design) {
                         // The model is (behaviourally) the design here: CBA
                         // only falsifies through this path once complete,
@@ -706,6 +826,7 @@ pub(crate) fn run(
                                     options.reduce_interval(),
                                     &mut stats,
                                     &budget,
+                                    telemetry,
                                 )
                             })
                             .flatten()
@@ -753,6 +874,7 @@ pub(crate) fn run(
                             });
                             current = abstraction.abstract_model(design, bad_index);
                             cache = None;
+                            set_cache = None;
                         }
                     }
                 }
@@ -778,21 +900,26 @@ pub(crate) fn run(
         }
         let interpolate =
             telemetry.span_args("interpolate", || vec![("k", ArgValue::U64(k as u64))]);
-        let sequence = match compute_sequence(
-            model,
-            k,
-            options.check,
-            config.alpha_serial,
-            options.reduce_interval(),
-            &probe,
-            &mut space,
-            model_to_concrete,
-            &concrete_to_model,
-            &instance,
-            &proof,
-            &mut stats,
-            &budget,
+        let run = SequenceRun {
+            reduce: options.reduce_interval(),
+            probe: &probe,
+            budget: &budget,
             telemetry,
+            model_to_concrete,
+            concrete_to_model: &concrete_to_model,
+        };
+        let set_cache = set_cache
+            .get_or_insert_with(|| CachedUnrolling::new(model, 0, options.check, InitKind::Set));
+        let full_proof = solver.proof_view().expect("unsat result has a proof");
+        let sequence = match compute_sequence(
+            &run,
+            set_cache,
+            k,
+            config.alpha_serial,
+            &mut space,
+            &frame_latches,
+            full_proof,
+            &mut stats,
         ) {
             Ok(sequence) => sequence,
             Err(reason) => {
@@ -807,6 +934,7 @@ pub(crate) fn run(
                 );
             }
         };
+        drop(solver);
         interpolate.end();
 
         // Column conjunctions and fixed-point checks (Fig. 2's inner loop).
@@ -984,21 +1112,99 @@ mod tests {
     #[test]
     fn cached_instances_are_bit_identical_to_scratch_builds() {
         let designs = [modular_counter(3, 6, 7), gated_counter(3)];
+        let telemetry = Telemetry::off();
         for check in [BmcCheck::Exact, BmcCheck::ExactAssume] {
             for design in &designs {
-                let mut cache = CachedUnrolling::new(design, 0, check);
+                let mut cache = CachedUnrolling::new(design, 0, check, InitKind::Reset);
                 let mut stats = EngineStats::default();
                 for k in 1..=6usize {
-                    let cached = cache.instance(k, &mut stats);
-                    let scratch = build_instance(design, 0, k, 0, k, check, InitKind::Reset);
+                    let cached = cache.instance(k, None, &mut stats, &telemetry);
+                    let (cnf, frame_latches) = build_instance(design, 0, k, 0, k, check, None);
                     assert_eq!(
-                        cached.cnf, scratch.cnf,
+                        cached.check.to_cnf(),
+                        cnf,
                         "{check:?} bound {k}: clauses must match exactly"
                     );
                     assert_eq!(
-                        cached.frame_latches, scratch.frame_latches,
+                        cached.frame_latches, frame_latches,
                         "{check:?} bound {k}: frame maps must match exactly"
                     );
+                }
+            }
+        }
+    }
+
+    /// Random state sets over the latches of `space`, all in its one
+    /// manager: constants, single latches and and/or combinations.
+    fn random_sets(space: &mut StateSpace, seed: u64, count: usize) -> Vec<aig::Lit> {
+        let mut state = seed;
+        let mut next = |bound: usize| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % bound as u64) as usize
+        };
+        let mut sets = vec![aig::Lit::FALSE, aig::Lit::TRUE];
+        sets.extend((0..space.num_latches()).map(|i| space.latch(i)));
+        while sets.len() < count {
+            let x = sets[next(sets.len())].xor_complement(next(2) == 1);
+            let y = sets[next(sets.len())].xor_complement(next(2) == 1);
+            let set = if next(2) == 0 {
+                space.and(x, y)
+            } else {
+                space.or(x, y)
+            };
+            sets.push(set);
+        }
+        sets
+    }
+
+    /// Every state-set instance cut from the `Set` cache is the scratch
+    /// instance: requests in the engine's order (the serial steps' `t`
+    /// falling within a bound, the bound rising), random sets of one
+    /// manager, and a fresh cache after a simulated refinement that jumps
+    /// straight to a deep bound.
+    #[test]
+    fn set_instances_are_bit_identical_to_scratch_builds() {
+        let mut designs = vec![modular_counter(3, 6, 7), gated_counter(3)];
+        designs.extend(
+            workloads::suite::full()
+                .into_iter()
+                .filter(|b| b.aig.num_latches() <= 12)
+                .take(3)
+                .map(|b| b.aig),
+        );
+        let telemetry = Telemetry::off();
+        let options = Options::default();
+        let budget = RunBudget::arm(&CancelToken::new(), Instant::now(), &options);
+        for check in [BmcCheck::Exact, BmcCheck::ExactAssume] {
+            for (index, design) in designs.iter().enumerate() {
+                let n = design.num_latches();
+                let identity: Vec<usize> = (0..n).collect();
+                let mut space = StateSpace::new(n, &budget, &options);
+                let sets = random_sets(&mut space, 0x9e37_79b9 + index as u64, 40);
+                let mut stats = EngineStats::default();
+                let mut cache = CachedUnrolling::new(design, 0, check, InitKind::Set);
+                let mut pick = 0;
+                for bound in 2..=7usize {
+                    if bound == 5 {
+                        // A refinement drops the cache; the next request
+                        // starts the new one at depth.
+                        cache = CachedUnrolling::new(design, 0, check, InitKind::Set);
+                    }
+                    for t in (1..bound).rev() {
+                        let set = sets[pick % sets.len()];
+                        pick += 7;
+                        let request = Some((&space, set, identity.as_slice()));
+                        let cached = cache.instance(t, request, &mut stats, &telemetry);
+                        let (cnf, frame_latches) =
+                            build_instance(design, 0, t, bound - t, bound, check, request);
+                        assert_eq!(cached.check.to_cnf(), cnf, "{check:?} k={bound} t={t}");
+                        assert_eq!(
+                            cached.frame_latches, frame_latches,
+                            "{check:?} k={bound} t={t}"
+                        );
+                    }
                 }
             }
         }
@@ -1009,14 +1215,21 @@ mod tests {
     #[test]
     fn repeated_instances_at_one_bound_are_stable() {
         let design = modular_counter(3, 6, 7);
+        let telemetry = Telemetry::off();
         for check in [BmcCheck::Exact, BmcCheck::ExactAssume] {
-            let mut cache = CachedUnrolling::new(&design, 0, check);
+            let mut cache = CachedUnrolling::new(&design, 0, check, InitKind::Reset);
             let mut stats = EngineStats::default();
-            let first = cache.instance(4, &mut stats);
+            let first = cache
+                .instance(4, None, &mut stats, &telemetry)
+                .check
+                .to_cnf();
             let clauses_after_first = cache.unroller.num_clauses();
-            let second = cache.instance(4, &mut stats);
+            let second = cache
+                .instance(4, None, &mut stats, &telemetry)
+                .check
+                .to_cnf();
             assert_eq!(cache.unroller.num_clauses(), clauses_after_first);
-            assert_eq!(first.cnf, second.cnf, "{check:?}");
+            assert_eq!(first, second, "{check:?}");
         }
     }
 
@@ -1025,16 +1238,23 @@ mod tests {
     #[test]
     fn incremental_growth_matches_fresh_growth() {
         let design = gated_counter(3);
+        let telemetry = Telemetry::off();
         for check in [BmcCheck::Exact, BmcCheck::ExactAssume] {
-            let mut grown = CachedUnrolling::new(&design, 0, check);
+            let mut grown = CachedUnrolling::new(&design, 0, check, InitKind::Reset);
             let mut stats = EngineStats::default();
             for k in 1..=5usize {
-                let _ = grown.instance(k, &mut stats);
+                let _ = grown.instance(k, None, &mut stats, &telemetry);
             }
-            let mut fresh = CachedUnrolling::new(&design, 0, check);
-            let a = grown.instance(5, &mut stats);
-            let b = fresh.instance(5, &mut stats);
-            assert_eq!(a.cnf, b.cnf, "{check:?}");
+            let mut fresh = CachedUnrolling::new(&design, 0, check, InitKind::Reset);
+            let a = grown
+                .instance(5, None, &mut stats, &telemetry)
+                .check
+                .to_cnf();
+            let b = fresh
+                .instance(5, None, &mut stats, &telemetry)
+                .check
+                .to_cnf();
+            assert_eq!(a, b, "{check:?}");
         }
     }
 }

@@ -21,7 +21,7 @@
 use crate::engines::RunBudget;
 use crate::{EngineStats, Options};
 use aig::{Aig, AigNode};
-use cnf::Unroller;
+use cnf::CnfBuilder;
 use sat::{IncrementalSolver, SolveResult};
 use std::collections::HashMap;
 use std::time::Instant;
@@ -56,18 +56,23 @@ impl StateSpace {
         let latch_inputs = (0..num_latches)
             .map(|_| aig::Lit::positive(mgr.add_input()))
             .collect();
-        let mut solver = IncrementalSolver::new();
-        // No clause is ever retired, so there is nothing to recycle.
-        solver.set_recycle_threshold(0);
-        solver.set_reduce_interval(options.reduce_interval());
-        budget.govern_incremental(&mut solver);
         StateSpace {
             mgr,
             latch_inputs,
-            solver,
+            solver: containment_solver(budget, options),
             encoded: Vec::new(),
             telemetry: options.telemetry.clone(),
         }
+    }
+
+    /// Replaces the containment solver with a fresh one governed by
+    /// `budget`, keeping the manager.  An engine calls this when it
+    /// abandons every state set built so far (ITP restarting `R` from
+    /// `S0` at a new bound): the dead encodings would otherwise stay in
+    /// the solver, and every satisfiable query would assign them all.
+    pub(crate) fn restart_solver(&mut self, budget: &RunBudget, options: &Options) {
+        self.solver = containment_solver(budget, options);
+        self.encoded.clear();
     }
 
     /// Number of latches (dimensions) of the state space.
@@ -194,24 +199,33 @@ impl StateSpace {
     }
 }
 
-/// Encodes a state-set literal of `space` over the latch variables of
-/// `frame` in `unroller`, returning the CNF literal equisatisfiable with
-/// "the state at `frame` belongs to the set".
+/// The run's containment solver: incremental, governed by `budget`.
+fn containment_solver(budget: &RunBudget, options: &Options) -> IncrementalSolver {
+    let mut solver = IncrementalSolver::new();
+    // No clause is ever retired, so there is nothing to recycle.
+    solver.set_recycle_threshold(0);
+    solver.set_reduce_interval(options.reduce_interval());
+    budget.govern_incremental(&mut solver);
+    solver
+}
+
+/// Encodes a state-set literal of `space` into `builder`, over the latch
+/// variables `frame_latches` of one time frame, returning the CNF literal
+/// equisatisfiable with "the state at that frame belongs to the set".
 ///
 /// `latch_map[i]` gives the index, within the unrolled design, of the latch
 /// that dimension `i` of the state space talks about; pass the identity for
 /// unabstracted models.
 pub fn encode_state_lit(
-    unroller: &mut Unroller<'_>,
-    frame: usize,
+    builder: &mut CnfBuilder,
+    frame_latches: &[cnf::Lit],
     space: &StateSpace,
     set: aig::Lit,
     latch_map: &[usize],
 ) -> cnf::Lit {
-    let frame_latches = unroller.latch_lits(frame);
     let mut cache = HashMap::new();
     cnf::tseitin::encode_cone(
-        unroller.builder_mut(),
+        builder,
         space.manager(),
         set,
         &mut cache,
@@ -222,11 +236,51 @@ pub fn encode_state_lit(
     )
 }
 
+/// The frame-0 constraint "the state belongs to `set`" of a check whose
+/// frame-0 latch variables are `0..num_latches`: the set's Tseitin clauses
+/// and the unit asserting it, in partition 1, on fresh variables from
+/// `num_latches` on — exactly what a scratch unrolling emits for it
+/// before its first transition.
+pub(crate) fn set_constraint(
+    space: &StateSpace,
+    set: aig::Lit,
+    latch_map: &[usize],
+    num_latches: usize,
+) -> cnf::Cnf {
+    let frame_latches: Vec<cnf::Lit> = (0..num_latches as u32)
+        .map(|v| cnf::Lit::positive(cnf::Var::new(v)))
+        .collect();
+    let mut builder = CnfBuilder::starting_at(num_latches as u32);
+    builder.set_partition(1);
+    let lit = encode_state_lit(&mut builder, &frame_latches, space, set, latch_map);
+    builder.add_unit(lit);
+    builder.into_cnf()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::engines::CancelToken;
+    use cnf::Unroller;
     use sat::Solver;
+
+    /// [`encode_state_lit`] over frame `frame` of `unroller`.
+    fn encode_at(
+        unroller: &mut Unroller<'_>,
+        frame: usize,
+        space: &StateSpace,
+        set: aig::Lit,
+        latch_map: &[usize],
+    ) -> cnf::Lit {
+        let frame_latches = unroller.latch_lits(frame);
+        encode_state_lit(
+            unroller.builder_mut(),
+            &frame_latches,
+            space,
+            set,
+            latch_map,
+        )
+    }
 
     /// A state space governed by a fresh budget under `options`.
     fn governed(num_latches: usize, options: &Options) -> StateSpace {
@@ -331,6 +385,25 @@ mod tests {
         }
     }
 
+    /// A restarted containment solver answers like the old one, and
+    /// encodes every cone it meets afresh.
+    #[test]
+    fn restarted_solver_encodes_afresh() {
+        let options = Options::default();
+        let budget = RunBudget::arm(&CancelToken::new(), Instant::now(), &options);
+        let mut ss = StateSpace::new(2, &budget, &options);
+        let (a, b) = (ss.latch(0), ss.latch(1));
+        let ab = ss.and(a, b);
+        let mut stats = EngineStats::default();
+        assert_eq!(ss.implies(ab, a, &mut stats), Ok(true));
+        let first = stats.clauses_encoded;
+        ss.restart_solver(&budget, &options);
+        assert_eq!(ss.implies(ab, a, &mut stats), Ok(true));
+        assert_eq!(stats.clauses_encoded, 2 * first);
+        assert_eq!(ss.implies(a, ab, &mut stats), Ok(false));
+        assert_eq!(stats.containment_calls, 3);
+    }
+
     #[test]
     fn a_raised_interrupt_flag_stops_containment_queries() {
         let cancel = CancelToken::new();
@@ -380,7 +453,7 @@ mod tests {
 
         let mut unroller = Unroller::new(&design);
         unroller.assert_initial(0);
-        let set_lit = encode_state_lit(&mut unroller, 0, &ss, one, &[0]);
+        let set_lit = encode_at(&mut unroller, 0, &ss, one, &[0]);
         unroller.assert_lit(set_lit);
         let mut solver = Solver::new();
         solver.add_cnf(&unroller.into_cnf());
@@ -388,7 +461,7 @@ mod tests {
 
         // Without the initial-state constraint the set is satisfiable.
         let mut unroller = Unroller::new(&design);
-        let set_lit = encode_state_lit(&mut unroller, 0, &ss, one, &[0]);
+        let set_lit = encode_at(&mut unroller, 0, &ss, one, &[0]);
         unroller.assert_lit(set_lit);
         let mut solver = Solver::new();
         solver.add_cnf(&unroller.into_cnf());
@@ -407,7 +480,7 @@ mod tests {
         let set = ss.latch(0); // "abstract latch is 1"
         let mut unroller = Unroller::new(&design);
         unroller.assert_initial(0);
-        let lit = encode_state_lit(&mut unroller, 0, &ss, set, &[1]);
+        let lit = encode_at(&mut unroller, 0, &ss, set, &[1]);
         unroller.assert_lit(lit);
         let mut solver = Solver::new();
         solver.add_cnf(&unroller.into_cnf());

@@ -3,7 +3,7 @@
 use crate::ItpError;
 use aig::Aig;
 use cnf::Var;
-use sat::{Chain, ClauseOrigin, Proof};
+use sat::{Chain, ProofView, ViewOrigin};
 
 /// Occurrence range of a variable over the original partitions.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -19,71 +19,69 @@ struct VarRange {
 /// extracted with a single traversal of the proof per request; all cuts of
 /// an interpolation sequence are computed in *one* traversal, mirroring the
 /// paper's observation that the whole sequence comes from a single proof.
+///
+/// The proof is read through a [`ProofView`], so a solver's refutation is
+/// interpolated in place ([`sat::Solver::proof_view`]); an owned
+/// [`sat::Proof`] converts into a view as well, with identical results.
 #[derive(Clone, Debug)]
 pub struct InterpolationContext<'a> {
-    proof: &'a Proof,
+    proof: ProofView<'a>,
+    final_chain: &'a Chain,
     ranges: Vec<Option<VarRange>>,
-    needed: Vec<bool>,
+    /// `slots[id]` numbers the clauses of the refutation cone densely in
+    /// creation order ([`NOT_NEEDED`] for the others).
+    slots: Vec<u32>,
+    num_needed: usize,
     partitions: u32,
 }
 
+/// The slot of a clause outside the refutation cone.
+const NOT_NEEDED: u32 = u32::MAX;
+
 impl<'a> InterpolationContext<'a> {
-    /// Prepares interpolation over `proof`.
+    /// Prepares interpolation over `proof`: one walk of the refutation's
+    /// chains marks its cone, and one pass over the clauses computes the
+    /// variable ranges.
     ///
     /// # Errors
     ///
     /// Returns [`ItpError::MissingRefutation`] if the proof does not derive
     /// the empty clause, or [`ItpError::UnpartitionedClause`] if a clause
     /// participating in the refutation carries no partition label.
-    pub fn new(proof: &'a Proof) -> Result<InterpolationContext<'a>, ItpError> {
+    pub fn new(proof: impl Into<ProofView<'a>>) -> Result<InterpolationContext<'a>, ItpError> {
+        let proof = proof.into();
         let final_chain = proof
-            .empty_clause_chain
-            .as_ref()
+            .empty_clause_chain()
             .ok_or(ItpError::MissingRefutation)?;
+        let needed = proof.refutation_cone();
 
-        // Mark the clauses actually used by the refutation.
-        let mut needed = vec![false; proof.clauses.len()];
-        let mut stack: Vec<usize> = Vec::new();
-        let mark_chain = |chain: &Chain, stack: &mut Vec<usize>| {
-            stack.push(chain.start);
-            for &(_, c) in &chain.steps {
-                stack.push(c);
+        // Occurrence ranges over *all* partitioned original clauses; every
+        // needed original clause must be partitioned.
+        let mut ranges: Vec<Option<VarRange>> = Vec::new();
+        let mut slots = vec![NOT_NEEDED; needed.len()];
+        let mut num_needed = 0;
+        let mut partitions = 0;
+        for clause in proof.clauses() {
+            if needed[clause.id] {
+                slots[clause.id] = num_needed as u32;
+                num_needed += 1;
             }
-        };
-        mark_chain(final_chain, &mut stack);
-        while let Some(id) = stack.pop() {
-            if needed[id] {
+            let ViewOrigin::Original { partition } = clause.origin else {
+                continue;
+            };
+            if partition == 0 {
+                if needed[clause.id] {
+                    return Err(ItpError::UnpartitionedClause { clause: clause.id });
+                }
                 continue;
             }
-            needed[id] = true;
-            if let ClauseOrigin::Learned { chain } = &proof.clauses[id].origin {
-                mark_chain(chain, &mut stack);
-            }
-        }
-
-        // Every needed original clause must be partitioned.
-        for (id, clause) in proof.clauses.iter().enumerate() {
-            if needed[id] && clause.partition() == Some(0) {
-                return Err(ItpError::UnpartitionedClause { clause: id });
-            }
-        }
-
-        // Occurrence ranges over *all* partitioned original clauses.
-        let num_vars = proof
-            .clauses
-            .iter()
-            .flat_map(|c| c.lits.iter())
-            .map(|l| l.var().index() + 1)
-            .max()
-            .unwrap_or(0) as usize;
-        let mut ranges: Vec<Option<VarRange>> = vec![None; num_vars];
-        for clause in &proof.clauses {
-            let partition = match clause.partition() {
-                Some(p) if p > 0 => p,
-                _ => continue,
-            };
-            for lit in &clause.lits {
-                let slot = &mut ranges[lit.var().index() as usize];
+            partitions = partitions.max(partition);
+            for lit in clause.lits() {
+                let var = lit.var().index() as usize;
+                if var >= ranges.len() {
+                    ranges.resize(var + 1, None);
+                }
+                let slot = &mut ranges[var];
                 *slot = Some(match *slot {
                     None => VarRange {
                         min: partition,
@@ -99,9 +97,11 @@ impl<'a> InterpolationContext<'a> {
 
         Ok(InterpolationContext {
             proof,
+            final_chain,
             ranges,
-            needed,
-            partitions: proof.num_partitions(),
+            slots,
+            num_needed,
+            partitions,
         })
     }
 
@@ -183,62 +183,63 @@ impl<'a> InterpolationContext<'a> {
                 });
             }
         }
-        // Partial interpolants per needed clause.
-        let mut partial: Vec<Option<Vec<aig::Lit>>> = vec![None; self.proof.clauses.len()];
-        for (id, clause) in self.proof.clauses.iter().enumerate() {
-            if !self.needed[id] {
+        // Partial interpolants of the needed clauses, `cuts.len()` per
+        // clause slot.
+        let width = cuts.len();
+        let mut partial = vec![aig::Lit::FALSE; self.num_needed * width];
+        for clause in self.proof.clauses() {
+            let slot = self.slots[clause.id];
+            if slot == NOT_NEEDED {
                 continue;
             }
-            let itps = match &clause.origin {
-                ClauseOrigin::Original { partition } => {
-                    let mut itps = Vec::with_capacity(cuts.len());
-                    for &cut in cuts {
-                        if *partition <= cut {
+            let at = slot as usize * width;
+            match clause.origin {
+                ViewOrigin::Original { partition } => {
+                    for (i, &cut) in cuts.iter().enumerate() {
+                        partial[at + i] = if partition <= cut {
                             // A-side leaf: disjunction of the global literals.
                             let mut acc = aig::Lit::FALSE;
-                            for lit in &clause.lits {
+                            for lit in clause.lits() {
                                 if self.is_global(cut, lit.var()) {
                                     let leaf = var_map(cut, lit.var());
                                     let leaf = if lit.is_negative() { !leaf } else { leaf };
                                     acc = mgr.or(acc, leaf);
                                 }
                             }
-                            itps.push(acc);
+                            acc
                         } else {
                             // B-side leaf.
-                            itps.push(aig::Lit::TRUE);
-                        }
+                            aig::Lit::TRUE
+                        };
                     }
-                    itps
                 }
-                ClauseOrigin::Learned { chain } => {
-                    self.replay_chain_itps(chain, cuts, mgr, &partial)?
+                ViewOrigin::Learned { chain } => {
+                    let itps = self.replay_chain_itps(chain, cuts, mgr, &partial)?;
+                    partial[at..at + width].copy_from_slice(&itps);
                 }
-            };
-            partial[id] = Some(itps);
+            }
         }
-        let final_chain = self
-            .proof
-            .empty_clause_chain
-            .as_ref()
-            .expect("checked in new()");
-        self.replay_chain_itps(final_chain, cuts, mgr, &partial)
+        self.replay_chain_itps(self.final_chain, cuts, mgr, &partial)
     }
 
+    /// Replays `chain` over the partial interpolants of its antecedents
+    /// (`partial` holds `cuts.len()` entries per clause slot).
     fn replay_chain_itps(
         &self,
         chain: &Chain,
         cuts: &[u32],
         mgr: &mut Aig,
-        partial: &[Option<Vec<aig::Lit>>],
+        partial: &[aig::Lit],
     ) -> Result<Vec<aig::Lit>, ItpError> {
-        let mut current = partial[chain.start]
-            .clone()
-            .expect("antecedent processed before use");
+        let width = cuts.len();
+        let itps = |id: usize| {
+            let slot = self.slots[id];
+            debug_assert!(slot != NOT_NEEDED, "antecedents are in the cone");
+            &partial[slot as usize * width..(slot as usize + 1) * width]
+        };
+        let mut current = itps(chain.start).to_vec();
         for &(pivot, antecedent) in &chain.steps {
-            let other = partial[antecedent]
-                .as_ref()
-                .expect("antecedent processed before use");
+            let other = itps(antecedent);
             for (i, slot) in current.iter_mut().enumerate() {
                 let cut = cuts[i];
                 let a_local = self
@@ -259,7 +260,7 @@ impl<'a> InterpolationContext<'a> {
 mod tests {
     use super::*;
     use cnf::{Cnf, CnfBuilder, Lit};
-    use sat::{SolveResult, Solver};
+    use sat::{Proof, SolveResult, Solver};
 
     /// Helper: solve a partitioned CNF, returning the proof when UNSAT.
     fn refute(cnf: &Cnf) -> Option<Proof> {
@@ -481,6 +482,97 @@ mod tests {
             }
         }
         assert!(checked >= 5, "not enough unsatisfiable samples generated");
+    }
+
+    /// The whole interpolation sequence of `view` in a fresh manager with
+    /// one input per variable, plus that manager's nodes.
+    fn sequence_nodes(view: ProofView<'_>, num_vars: u32) -> (Vec<aig::Lit>, Vec<aig::AigNode>) {
+        let ctx = InterpolationContext::new(view).expect("context");
+        let mut mgr = Aig::new();
+        let inputs: Vec<aig::Lit> = (0..num_vars)
+            .map(|_| aig::Lit::positive(mgr.add_input()))
+            .collect();
+        let itps = ctx
+            .sequence(&mut mgr, &|_, v| inputs[v.index() as usize])
+            .expect("sequence");
+        let nodes = (0..mgr.num_nodes() as aig::NodeId)
+            .map(|id| mgr.node(id))
+            .collect();
+        (itps, nodes)
+    }
+
+    /// Interpolating from a solver's proof in place is interpolating from
+    /// its export: the manager receives the same `and`/`or` calls, so the
+    /// sequences are node-identical — on random partitioned formulas and
+    /// on a refutation that went through forced database reductions.
+    #[test]
+    fn proof_views_interpolate_like_exported_proofs() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(16);
+        let mut compared = 0;
+        let compare = |cnf: &Cnf, reduce: Option<u64>| {
+            let mut solver = Solver::new();
+            solver.set_reduce_interval(reduce);
+            solver.add_cnf(cnf);
+            if solver.solve() != SolveResult::Unsat {
+                return false;
+            }
+            if reduce.is_some() {
+                assert!(solver.stats().learned_deleted > 0, "no clause was deleted");
+            }
+            let view = solver.proof_view().expect("refutation");
+            let owned = solver.proof().expect("refutation");
+            assert_eq!(
+                sequence_nodes(view, cnf.num_vars),
+                sequence_nodes(owned.view(), cnf.num_vars)
+            );
+            true
+        };
+        for _ in 0..200 {
+            let num_vars = rng.gen_range(4..9u32);
+            let num_partitions = rng.gen_range(2..6u32);
+            let mut b = CnfBuilder::new();
+            for _ in 0..num_vars {
+                b.new_var();
+            }
+            for _ in 0..num_vars * 5 {
+                b.set_partition(rng.gen_range(1..=num_partitions));
+                let len = rng.gen_range(1..=3);
+                let clause: Vec<Lit> = (0..len)
+                    .map(|_| Lit::new(Var::new(rng.gen_range(0..num_vars)), rng.gen_bool(0.5)))
+                    .collect();
+                b.add_clause(clause);
+            }
+            compared += usize::from(compare(&b.into_cnf(), None));
+        }
+        assert!(compared >= 20, "only {compared} refutations compared");
+
+        // Pigeonhole with an aggressive reduction schedule: deleted learned
+        // clauses leave holes in the view's ids that the export renumbers.
+        let holes = 6;
+        let pigeons = holes + 1;
+        let mut b = CnfBuilder::new();
+        let var = |p: usize, h: usize| Var::new((p * holes + h) as u32);
+        for _ in 0..pigeons * holes {
+            b.new_var();
+        }
+        for p in 0..pigeons {
+            b.set_partition(1 + (p % 3) as u32);
+            b.add_clause((0..holes).map(|h| Lit::positive(var(p, h))));
+        }
+        b.set_partition(3);
+        for h in 0..holes {
+            for p1 in 0..pigeons {
+                for p2 in (p1 + 1)..pigeons {
+                    b.add_clause([Lit::negative(var(p1, h)), Lit::negative(var(p2, h))]);
+                }
+            }
+        }
+        assert!(
+            compare(&b.into_cnf(), Some(2)),
+            "pigeonhole is unsatisfiable"
+        );
     }
 
     #[test]

@@ -11,6 +11,9 @@
 //!   *same* proof, exactly as Definition 2 of *Interpolation Sequences
 //!   Revisited* prescribes.
 //!
+//! The proof is read through a [`sat::ProofView`]: in place from the
+//! solver that refuted the formula, or from an exported [`sat::Proof`].
+//!
 //! Interpolants are constructed as AND/OR circuits inside a caller-provided
 //! [`aig::Aig`] manager, with a caller-provided mapping from shared SAT
 //! variables to AIG literals.  The model-checking engines use a manager
@@ -30,8 +33,8 @@
 //! solver.add_clause([a], 1);
 //! solver.add_clause([!a], 2);
 //! assert_eq!(solver.solve(), SolveResult::Unsat);
-//! let proof = solver.proof().expect("refutation");
-//! let ctx = InterpolationContext::new(&proof)?;
+//! // Interpolate straight from the solver's proof, without copying it.
+//! let ctx = InterpolationContext::new(solver.proof_view().expect("refutation"))?;
 //! let mut mgr = aig::Aig::new();
 //! let leaf = aig::Lit::positive(mgr.add_input());
 //! let itp = ctx.interpolant(1, &mut mgr, &|_, _| leaf)?;

@@ -57,6 +57,12 @@ impl ClauseArena {
         }
     }
 
+    /// Reserves room for `clauses` more clauses holding `lits` literals in
+    /// total, so a bulk load grows the arena once.
+    pub fn reserve(&mut self, clauses: usize, lits: usize) {
+        self.data.reserve(clauses * HEADER as usize + lits);
+    }
+
     /// Appends a clause and returns its reference.
     pub fn alloc(
         &mut self,
@@ -83,6 +89,13 @@ impl ClauseArena {
     #[inline]
     pub fn lit(&self, c: ClauseRef, i: usize) -> Lit {
         Lit::from_code(self.data[c.0 as usize + HEADER as usize + i])
+    }
+
+    /// The literal codes of a clause, in arena order.
+    #[inline]
+    pub fn codes(&self, c: ClauseRef) -> &[u32] {
+        let base = c.0 as usize + HEADER as usize;
+        &self.data[base..base + self.size(c)]
     }
 
     #[inline]

@@ -58,7 +58,8 @@ mod solver;
 pub use cnf::{Clause, Cnf, Lit, Var};
 pub use govern::{FaultKind, FaultPlan, FaultSite, MemoryBudget};
 pub use incremental::{ClauseGuard, IncrementalSolver};
-pub use proof::{Chain, ClauseOrigin, Proof, ProofClause};
+pub use proof::{Chain, ClauseOrigin, Proof, ProofClause, ProofView, ViewClause, ViewOrigin};
 pub use solver::{
-    ProgressProbe, SolveResult, Solver, SolverStats, DEFAULT_PROBE_INTERVAL, DEFAULT_REDUCE_FIRST,
+    BulkLoad, ProgressProbe, SolveResult, Solver, SolverStats, DEFAULT_PROBE_INTERVAL,
+    DEFAULT_REDUCE_FIRST,
 };

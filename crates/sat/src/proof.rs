@@ -8,7 +8,14 @@
 //! A chain `(start, [(v₁, c₁), (v₂, c₂), …])` denotes the linear resolution
 //! `((start ⊗_{v₁} c₁) ⊗_{v₂} c₂) ⊗ …` where `⊗_v` resolves on variable
 //! `v`.  Chains reference clauses by their index in [`Proof::clauses`].
+//!
+//! A [`ProofView`] reads a refutation in place — straight from a solver's
+//! clause arena and resolution recorder ([`crate::Solver::proof_view`]),
+//! or from an owned [`Proof`] — so interpolation needs no copy of the
+//! clauses.  [`ProofView::to_proof`] is the owned export, kept for tests
+//! and for [`Proof::check`].
 
+use crate::arena::ClauseArena;
 use cnf::{Lit, Var};
 
 /// Index of a clause inside a [`Proof`].
@@ -76,6 +83,15 @@ pub struct Proof {
 }
 
 impl Proof {
+    /// A borrowed view of this proof, with clause ids equal to indices
+    /// into [`Proof::clauses`].
+    pub fn view(&self) -> ProofView<'_> {
+        ProofView {
+            clauses: Clauses::Owned(&self.clauses),
+            empty_clause_chain: self.empty_clause_chain.as_ref(),
+        }
+    }
+
     /// Number of original (leaf) clauses.
     pub fn num_original(&self) -> usize {
         self.clauses.iter().filter(|c| c.is_original()).count()
@@ -168,6 +184,227 @@ impl Proof {
                     ))
                 }
             }
+        }
+    }
+}
+
+/// Where the clauses of a [`ProofView`] live.
+#[derive(Clone, Copy, Debug)]
+enum Clauses<'a> {
+    /// A solver's arena: ids are proof ids, and `chains[id]` is the chain
+    /// of learned clause `id` (`None` for original clauses).
+    Arena {
+        arena: &'a ClauseArena,
+        chains: &'a [Option<Chain>],
+    },
+    /// An exported proof: ids are indices.
+    Owned(&'a [ProofClause]),
+}
+
+/// A borrowed refutation: its clauses in creation order, with resolution
+/// chains referring to clauses by id.
+///
+/// Ids are dense for an owned [`Proof`]; for a live solver they are its
+/// proof ids, which also count learned clauses that database reduction
+/// deleted since.  [`ProofView::clauses`] skips deleted clauses and
+/// yields literals in the solver's arena order, which is exactly what
+/// [`ProofView::to_proof`] exports.
+#[derive(Clone, Copy, Debug)]
+pub struct ProofView<'a> {
+    clauses: Clauses<'a>,
+    empty_clause_chain: Option<&'a Chain>,
+}
+
+/// How a clause of a [`ProofView`] came about.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum ViewOrigin<'a> {
+    /// An input clause with its interpolation partition.
+    Original {
+        /// The partition index assigned when the clause was added.
+        partition: u32,
+    },
+    /// A learned clause and the chain deriving it.
+    Learned {
+        /// The resolution chain, over view ids.
+        chain: &'a Chain,
+    },
+}
+
+/// One clause of a [`ProofView`].
+#[derive(Clone, Copy, Debug)]
+pub struct ViewClause<'a> {
+    /// The clause's id, as chains refer to it.
+    pub id: usize,
+    /// Leaf (original) or derived (learned).
+    pub origin: ViewOrigin<'a>,
+    codes: &'a [u32],
+    lits: &'a [Lit],
+}
+
+impl<'a> ViewClause<'a> {
+    /// The literals of the clause.
+    pub fn lits(&self) -> impl Iterator<Item = Lit> + 'a {
+        let codes = self.codes.iter().map(|&code| Lit::from_code(code));
+        codes.chain(self.lits.iter().copied())
+    }
+}
+
+impl<'a> From<&'a Proof> for ProofView<'a> {
+    fn from(proof: &'a Proof) -> ProofView<'a> {
+        proof.view()
+    }
+}
+
+impl<'a> ProofView<'a> {
+    /// A view of a solver's arena and recorded chains.
+    pub(crate) fn of_arena(
+        arena: &'a ClauseArena,
+        chains: &'a [Option<Chain>],
+        empty_clause_chain: &'a Chain,
+    ) -> ProofView<'a> {
+        ProofView {
+            clauses: Clauses::Arena { arena, chains },
+            empty_clause_chain: Some(empty_clause_chain),
+        }
+    }
+
+    /// The chain deriving the empty clause; `None` for an owned proof of
+    /// a formula that was never refuted.
+    pub fn empty_clause_chain(&self) -> Option<&'a Chain> {
+        self.empty_clause_chain
+    }
+
+    /// An upper bound on clause ids (every id is below it).
+    pub fn num_ids(&self) -> usize {
+        match self.clauses {
+            Clauses::Arena { chains, .. } => chains.len(),
+            Clauses::Owned(clauses) => clauses.len(),
+        }
+    }
+
+    /// The chain of learned clause `id`, or `None` for an original one.
+    pub fn chain(&self, id: usize) -> Option<&'a Chain> {
+        match self.clauses {
+            Clauses::Arena { chains, .. } => chains[id].as_ref(),
+            Clauses::Owned(clauses) => match &clauses[id].origin {
+                ClauseOrigin::Learned { chain } => Some(chain),
+                ClauseOrigin::Original { .. } => None,
+            },
+        }
+    }
+
+    /// The clauses in creation order (chains only reference earlier
+    /// ones).
+    pub fn clauses(&self) -> impl Iterator<Item = ViewClause<'a>> + 'a {
+        let (arena, chains, owned): (Option<&ClauseArena>, &[Option<Chain>], &[ProofClause]) =
+            match self.clauses {
+                Clauses::Arena { arena, chains } => (Some(arena), chains, &[]),
+                Clauses::Owned(clauses) => (None, &[], clauses),
+            };
+        let from_arena = arena.into_iter().flat_map(move |arena| {
+            arena
+                .refs()
+                .filter(move |&c| !arena.is_deleted(c))
+                .map(move |c| {
+                    let id = arena.proof_id(c) as usize;
+                    let origin = if arena.is_learned(c) {
+                        ViewOrigin::Learned {
+                            chain: chains[id]
+                                .as_ref()
+                                .expect("live learned clauses keep their chains"),
+                        }
+                    } else {
+                        ViewOrigin::Original {
+                            partition: arena.partition(c),
+                        }
+                    };
+                    ViewClause {
+                        id,
+                        origin,
+                        codes: arena.codes(c),
+                        lits: &[],
+                    }
+                })
+        });
+        let from_owned = owned.iter().enumerate().map(|(id, clause)| ViewClause {
+            id,
+            origin: match &clause.origin {
+                ClauseOrigin::Original { partition } => ViewOrigin::Original {
+                    partition: *partition,
+                },
+                ClauseOrigin::Learned { chain } => ViewOrigin::Learned { chain },
+            },
+            codes: &[],
+            lits: &clause.lits,
+        });
+        from_arena.chain(from_owned)
+    }
+
+    /// Marks the clauses the refutation uses: the empty-clause chain and,
+    /// transitively, the chains of the learned clauses it reaches.
+    /// Everything is unmarked when there is no refutation.
+    pub fn refutation_cone(&self) -> Vec<bool> {
+        let mut needed = vec![false; self.num_ids()];
+        let Some(final_chain) = self.empty_clause_chain else {
+            return needed;
+        };
+        let mut stack: Vec<usize> = Vec::new();
+        let push_chain = |chain: &Chain, stack: &mut Vec<usize>| {
+            stack.push(chain.start);
+            stack.extend(chain.steps.iter().map(|&(_, c)| c));
+        };
+        push_chain(final_chain, &mut stack);
+        while let Some(id) = stack.pop() {
+            if needed[id] {
+                continue;
+            }
+            needed[id] = true;
+            if let Some(chain) = self.chain(id) {
+                push_chain(chain, &mut stack);
+            }
+        }
+        needed
+    }
+
+    /// Exports an owned [`Proof`]: every original clause (interpolation
+    /// needs the full partition layout for its variable-occurrence
+    /// ranges), but only the learned clauses in the refutation cone, with
+    /// chains renumbered densely.
+    pub fn to_proof(&self) -> Proof {
+        let needed = self.refutation_cone();
+        let mut remap = vec![usize::MAX; self.num_ids()];
+        let renumber = |chain: &Chain, remap: &[usize]| {
+            debug_assert!(remap[chain.start] != usize::MAX);
+            Chain {
+                start: remap[chain.start],
+                steps: chain
+                    .steps
+                    .iter()
+                    .map(|&(v, c)| {
+                        debug_assert!(remap[c] != usize::MAX);
+                        (v, remap[c])
+                    })
+                    .collect(),
+            }
+        };
+        let mut clauses = Vec::new();
+        for clause in self.clauses() {
+            let origin = match clause.origin {
+                ViewOrigin::Learned { .. } if !needed[clause.id] => continue,
+                ViewOrigin::Learned { chain } => ClauseOrigin::Learned {
+                    chain: renumber(chain, &remap),
+                },
+                ViewOrigin::Original { partition } => ClauseOrigin::Original { partition },
+            };
+            remap[clause.id] = clauses.len();
+            clauses.push(ProofClause {
+                lits: clause.lits().collect(),
+                origin,
+            });
+        }
+        Proof {
+            clauses,
+            empty_clause_chain: self.empty_clause_chain.map(|c| renumber(c, &remap)),
         }
     }
 }

@@ -14,7 +14,7 @@
 use crate::arena::{ClauseArena, ClauseRef, NO_PROOF_ID};
 use crate::govern::{FaultKind, FaultPlan, FaultSite, MemoryBudget, Registered};
 use crate::luby::luby;
-use crate::proof::{Chain, ClauseOrigin, Proof, ProofClause};
+use crate::proof::{Chain, Proof, ProofView};
 use cnf::{Cnf, Lit, Var};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -198,8 +198,9 @@ impl Ord for HeapEntry {
 
 /// The resolution chains recorded while proof logging is on, indexed by
 /// proof-clause id (`None` for original clauses).  Clause bodies live in
-/// the arena; deleted clauses drop their chains, and [`Solver::proof`]
-/// renumbers the survivors densely on export.
+/// the arena; deleted clauses drop their chains.  [`Solver::proof_view`]
+/// reads both in place, and [`Solver::proof`] renumbers the survivors
+/// densely on export.
 #[derive(Clone, Debug, Default)]
 struct ProofRecorder {
     chains: Vec<Option<Chain>>,
@@ -214,21 +215,6 @@ impl ProofRecorder {
     fn register_learned(&mut self, chain: Chain) -> u32 {
         self.chains.push(Some(chain));
         (self.chains.len() - 1) as u32
-    }
-}
-
-fn remap_chain(chain: &Chain, remap: &[usize]) -> Chain {
-    debug_assert!(remap[chain.start] != usize::MAX);
-    Chain {
-        start: remap[chain.start],
-        steps: chain
-            .steps
-            .iter()
-            .map(|&(v, c)| {
-                debug_assert!(remap[c] != usize::MAX);
-                (v, remap[c])
-            })
-            .collect(),
     }
 }
 
@@ -510,8 +496,24 @@ impl Solver {
         v
     }
 
-    /// Ensures that variables `0..count` exist.
+    /// Ensures that variables `0..count` exist, growing every
+    /// per-variable array once.
     pub fn ensure_vars(&mut self, count: u32) {
+        let missing = count.saturating_sub(self.num_vars()) as usize;
+        if missing == 0 {
+            return;
+        }
+        self.assign.reserve(missing);
+        self.level.reserve(missing);
+        self.trail_pos.reserve(missing);
+        self.reason.reserve(missing);
+        self.activity.reserve(missing);
+        self.phase.reserve(missing);
+        self.seen.reserve(missing);
+        self.cmark.reserve(missing);
+        self.lbd_stamp.reserve(missing);
+        self.watches.reserve(2 * missing);
+        self.heap.reserve(missing);
         while (self.assign.len() as u32) < count {
             self.new_var();
         }
@@ -570,31 +572,60 @@ impl Solver {
     /// Variables referenced by the literals are allocated on demand.
     pub fn add_clause<I: IntoIterator<Item = Lit>>(&mut self, lits: I, partition: u32) {
         let lits: Vec<Lit> = lits.into_iter().collect();
-        if let Some(max) = lits.iter().map(|l| l.var().index()).max() {
-            self.ensure_vars(max + 1);
-        }
+        self.ensure_clause_vars(&lits);
         if !self.ok {
             return;
         }
         // Clauses are always installed at the root level so that the watch
         // set-up below sees a consistent (level-0) partial assignment.
         self.backtrack(0);
+        self.install(&lits, partition);
+    }
+
+    /// Adds every clause of a [`Cnf`], preserving the partition labels, in
+    /// one [`bulk_load`](Self::bulk_load).
+    pub fn add_cnf(&mut self, cnf: &Cnf) {
+        let lits = cnf.clauses.iter().map(|c| c.lits.len()).sum();
+        let mut load = self.bulk_load(cnf.num_vars, cnf.clauses.len(), lits);
+        for clause in &cnf.clauses {
+            load.add_clause(&clause.lits, clause.partition);
+        }
+    }
+
+    /// Starts loading a formula of `num_vars` variables and `clauses`
+    /// clauses with `lits` literals in total.  The variables, the clause
+    /// arena and the root-level backtrack are sized and done once here,
+    /// and the memory budget is charged once when the returned loader is
+    /// dropped; each clause then goes from its slice straight into the
+    /// arena.  The result is the same solver state, proof ids included,
+    /// as adding the clauses one by one with [`add_clause`](Self::add_clause),
+    /// and each clause still ticks the `Alloc` fault site once.
+    pub fn bulk_load(&mut self, num_vars: u32, clauses: usize, lits: usize) -> BulkLoad<'_> {
+        self.ensure_vars(num_vars);
+        self.backtrack(0);
+        self.arena.reserve(clauses, lits);
+        BulkLoad { solver: self }
+    }
+
+    fn ensure_clause_vars(&mut self, lits: &[Lit]) {
+        if let Some(max) = lits.iter().map(|l| l.var().index()).max() {
+            if max >= self.num_vars() {
+                self.ensure_vars(max + 1);
+            }
+        }
+    }
+
+    /// Installs an original clause; the solver is consistent and at the
+    /// root level, and every variable of `lits` exists.
+    fn install(&mut self, lits: &[Lit], partition: u32) {
         self.fault_alloc();
         let pid = match &mut self.proof {
             Some(recorder) => recorder.register_original(),
             None => NO_PROOF_ID,
         };
-        let cref = self.arena.alloc(&lits, false, partition, pid);
+        let cref = self.arena.alloc(lits, false, partition, pid);
         self.num_clauses += 1;
         self.attach_clause(cref);
-    }
-
-    /// Adds every clause of a [`Cnf`], preserving the partition labels.
-    pub fn add_cnf(&mut self, cnf: &Cnf) {
-        self.ensure_vars(cnf.num_vars);
-        for clause in &cnf.clauses {
-            self.add_clause(clause.lits.iter().copied(), clause.partition);
-        }
     }
 
     /// Chain of the root-level conflict `confl`, recorded only while proof
@@ -756,73 +787,26 @@ impl Solver {
         &self.assumption_core
     }
 
-    /// Returns the resolution proof of the last assumption-free `Unsat`
-    /// answer, or `None` when no refutation has been derived (or proof
-    /// logging is off).
-    ///
-    /// The export contains every original clause (interpolation needs the
-    /// full partition layout for its variable-occurrence ranges) but only
-    /// the learned clauses actually referenced — transitively — by the
-    /// empty-clause chain; everything else the search learned along the
-    /// way is skipped instead of cloned.
-    pub fn proof(&self) -> Option<Proof> {
+    /// Returns a borrowed view of the refutation derived by the last
+    /// assumption-free `Unsat` answer, read in place from the clause arena
+    /// and the recorded chains, or `None` when no refutation has been
+    /// derived (or proof logging is off).  Interpolation reads this view;
+    /// nothing is copied.
+    pub fn proof_view(&self) -> Option<ProofView<'_>> {
         let recorder = self.proof.as_ref()?;
         let final_chain = self.final_chain.as_ref()?;
-        let total = recorder.chains.len();
-        // Cone of the refutation over proof ids.
-        let mut needed = vec![false; total];
-        let mut stack: Vec<usize> = Vec::new();
-        let push_chain = |chain: &Chain, stack: &mut Vec<usize>| {
-            stack.push(chain.start);
-            for &(_, c) in &chain.steps {
-                stack.push(c);
-            }
-        };
-        push_chain(final_chain, &mut stack);
-        while let Some(id) = stack.pop() {
-            if needed[id] {
-                continue;
-            }
-            needed[id] = true;
-            if let Some(chain) = &recorder.chains[id] {
-                push_chain(chain, &mut stack);
-            }
-        }
-        // Export in creation order (the arena preserves it across
-        // compactions), renumbering chains densely.
-        let mut remap = vec![usize::MAX; total];
-        let mut clauses = Vec::new();
-        for cref in self.arena.refs() {
-            if self.arena.is_deleted(cref) {
-                continue;
-            }
-            let pid = self.arena.proof_id(cref) as usize;
-            let learned = self.arena.is_learned(cref);
-            if learned && !needed[pid] {
-                continue;
-            }
-            remap[pid] = clauses.len();
-            let lits: Vec<Lit> = (0..self.arena.size(cref))
-                .map(|i| self.arena.lit(cref, i))
-                .collect();
-            let origin = if learned {
-                let chain = recorder.chains[pid]
-                    .as_ref()
-                    .expect("clauses in the refutation cone keep their chains");
-                ClauseOrigin::Learned {
-                    chain: remap_chain(chain, &remap),
-                }
-            } else {
-                ClauseOrigin::Original {
-                    partition: self.arena.partition(cref),
-                }
-            };
-            clauses.push(ProofClause { lits, origin });
-        }
-        Some(Proof {
-            clauses,
-            empty_clause_chain: Some(remap_chain(final_chain, &remap)),
-        })
+        Some(ProofView::of_arena(
+            &self.arena,
+            &recorder.chains,
+            final_chain,
+        ))
+    }
+
+    /// Exports the refutation of [`proof_view`](Self::proof_view) as an
+    /// owned [`Proof`] (see [`ProofView::to_proof`]), for tests and for
+    /// [`Proof::check`].
+    pub fn proof(&self) -> Option<Proof> {
+        self.proof_view().map(|view| view.to_proof())
     }
 
     #[inline]
@@ -1600,6 +1584,35 @@ impl Solver {
     }
 }
 
+/// A formula being loaded into a [`Solver`]; see [`Solver::bulk_load`].
+/// Dropping the loader charges the solver's footprint to its memory
+/// budget.
+#[derive(Debug)]
+pub struct BulkLoad<'s> {
+    solver: &'s mut Solver,
+}
+
+impl BulkLoad<'_> {
+    /// Adds one clause, with the semantics of [`Solver::add_clause`].
+    pub fn add_clause(&mut self, lits: &[Lit], partition: u32) {
+        let solver = &mut *self.solver;
+        solver.ensure_clause_vars(lits);
+        if solver.ok {
+            solver.install(lits, partition);
+        }
+    }
+}
+
+impl Drop for BulkLoad<'_> {
+    fn drop(&mut self) {
+        let solver = &mut *self.solver;
+        let now = solver.estimated_bytes();
+        if let Some(budget) = &solver.mem_budget {
+            budget.update(&mut solver.mem_registered.0, now);
+        }
+    }
+}
+
 impl Drop for Solver {
     fn drop(&mut self) {
         // Release this solver's contribution to the shared memory budget
@@ -2136,6 +2149,63 @@ mod tests {
             s.set_proof_logging(false);
         }));
         assert!(result.is_err(), "late toggles must panic");
+    }
+
+    /// A bulk load is the clause-by-clause load: same answers, same
+    /// proofs (ids, arena order and partitions), same `Alloc` ticks — on
+    /// random partitioned formulas, including ones whose units conflict
+    /// mid-load, with database reduction forced.
+    #[test]
+    fn bulk_load_matches_clause_by_clause_loading() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(2026);
+        let mut refuted = 0;
+        for round in 0..60 {
+            let num_vars = 6 + (round % 7) as u32;
+            let mut builder = cnf::CnfBuilder::new();
+            for _ in 0..num_vars {
+                builder.new_var();
+            }
+            for _ in 0..num_vars * 5 {
+                builder.set_partition(rng.gen_range(1..=4));
+                let len = rng.gen_range(1..=3);
+                let clause: Vec<Lit> = (0..len)
+                    .map(|_| Lit::new(Var::new(rng.gen_range(0..num_vars)), rng.gen_bool(0.5)))
+                    .collect();
+                builder.add_clause(clause);
+            }
+            let cnf = builder.into_cnf();
+            let at = rng.gen_range(1..=cnf.clauses.len() as u64 + 2);
+            let run = |bulk: bool, plan: FaultPlan| {
+                let mut s = Solver::new();
+                s.set_reduce_interval(Some(2));
+                s.set_faults(plan.clone());
+                if bulk {
+                    s.add_cnf(&cnf);
+                } else {
+                    s.ensure_vars(cnf.num_vars);
+                    for clause in &cnf.clauses {
+                        s.add_clause(clause.lits.iter().copied(), clause.partition);
+                    }
+                }
+                let fired_in_load = plan.fired();
+                let result = s.solve();
+                (result, s.proof(), s.num_clauses(), fired_in_load, s.stats())
+            };
+            let bulk = run(true, FaultPlan::none());
+            assert_eq!(bulk, run(false, FaultPlan::none()), "round {round}");
+            refuted += usize::from(bulk.0 == SolveResult::Unsat);
+            // The `Alloc` site ticks once per installed clause either way,
+            // so an injected fault lands on the same clause.
+            let fault = || FaultPlan::inject(FaultSite::Alloc, FaultKind::Interrupt, at);
+            assert_eq!(
+                run(true, fault()),
+                run(false, fault()),
+                "round {round}, fault at {at}"
+            );
+        }
+        assert!(refuted >= 10, "only {refuted} refutations exercised");
     }
 
     #[test]

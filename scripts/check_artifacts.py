@@ -4,14 +4,23 @@
 Each ``--kind`` is one checked artifact contract (previously an inline
 script in ``.github/workflows/ci.yml``):
 
-* ``table1-counters FILE`` — ``itpseq-table1/v7`` JSON: every record
+* ``table1-counters FILE`` — ``itpseq-table1/v8`` JSON: every record
   carries the SAT-core and search counters, the preprocessing reduction
   counters, the fault-isolation counters and ``containment_calls``; the
   suite as a whole exercised minimization, clause deletion and database
   reduction, and each interpolation engine (ITP, ITPSEQ, SITPSEQ,
   ITPSEQCBA) counted fixpoint containment queries on at least one proved
   record.
-* ``chaos-counters FILE`` — ``itpseq-table1/v7`` JSON from a ``--chaos``
+* ``table1-depths FILE BASELINE`` — ``itpseq-table1/v8`` JSON of
+  ``table1 --suite full`` against ``baselines/table1-depths.json``: for
+  every benchmark and each paper engine (ITP, ITPSEQ, SITPSEQ,
+  ITPSEQCBA), the verdict kind, ``k_fp``/``j_fp`` or the falsified depth,
+  ``sat_calls``, ``interpolants`` and ``containment_calls`` must equal the
+  baseline wherever both sides are conclusive.  A record that is
+  inconclusive on either side (a timeout on a slow runner) is listed, not
+  failed.  ``--update`` rewrites BASELINE from FILE instead, for a change
+  that moves these numbers on purpose.
+* ``chaos-counters FILE`` — ``itpseq-table1/v8`` JSON from a ``--chaos``
   run: fault injection was armed, so the counters must show faults
   actually fired, every verdict must still be a recognised kind, and
   every inconclusive record must carry a machine-readable reason.
@@ -53,7 +62,7 @@ FAULT_COUNTERS = [
 
 def load_table1(path):
     doc = json.load(open(path))
-    assert doc["schema"] == "itpseq-table1/v7", doc["schema"]
+    assert doc["schema"] == "itpseq-table1/v8", doc["schema"]
     records = doc["records"]
     assert records, "the run produced no records"
     return records
@@ -104,6 +113,74 @@ def check_table1_counters(path):
     # Without injection armed, no run may report a fault.
     injected = sum(r["faults_injected"] for r in records)
     assert injected == 0, f"faults reported without injection armed: {injected}"
+
+
+DEPTH_FIELDS = [
+    "verdict",
+    "k_fp",
+    "j_fp",
+    "depth",
+    "sat_calls",
+    "interpolants",
+    "containment_calls",
+]
+
+DEPTHS_SCHEMA = "itpseq-table1-depths/v1"
+
+
+def depth_records(path):
+    """The paper engines' records of a table1 run, keyed by (benchmark,
+    engine), each cut down to the fields the depth baseline pins."""
+    records = {}
+    for record in load_table1(path):
+        if record["engine"] in INTERPOLATING:
+            key = (record["benchmark"], record["engine"])
+            records[key] = {field: record[field] for field in DEPTH_FIELDS}
+    return records
+
+
+def write_table1_depths(path, baseline_path):
+    records = depth_records(path)
+    body = [
+        dict(benchmark=benchmark, engine=engine, **fields)
+        for (benchmark, engine), fields in records.items()
+    ]
+    inconclusive = [r for r in body if r["verdict"] == "inconclusive"]
+    assert not inconclusive, f"refusing to pin inconclusive records: {inconclusive}"
+    with open(baseline_path, "w") as out:
+        out.write('{\n  "schema": "%s",\n  "records": [\n' % DEPTHS_SCHEMA)
+        out.write(",\n".join("    " + json.dumps(r) for r in body))
+        out.write("\n  ]\n}\n")
+    print(f"wrote {len(body)} records to {baseline_path}")
+
+
+def check_table1_depths(path, baseline_path):
+    doc = json.load(open(baseline_path))
+    assert doc["schema"] == DEPTHS_SCHEMA, doc["schema"]
+    run = depth_records(path)
+    mismatches, unchecked = [], []
+    for expected in doc["records"]:
+        key = (expected["benchmark"], expected["engine"])
+        got = run.get(key)
+        if got is None:
+            mismatches.append(f"{key}: no record in the run")
+        elif "inconclusive" in (got["verdict"], expected["verdict"]):
+            unchecked.append(f"{key}: {got['verdict']} vs baseline {expected['verdict']}")
+        else:
+            diff = {
+                field: (got[field], expected[field])
+                for field in DEPTH_FIELDS
+                if got[field] != expected[field]
+            }
+            if diff:
+                mismatches.append(f"{key}: (run, baseline) {diff}")
+    extra = set(run) - {(r["benchmark"], r["engine"]) for r in doc["records"]}
+    mismatches.extend(f"{key}: not in the baseline" for key in sorted(extra))
+    for line in unchecked:
+        print(f"inconclusive, not compared: {line}")
+    compared = len(doc["records"]) - len(unchecked)
+    assert not mismatches, "depth baseline mismatch:\n" + "\n".join(mismatches)
+    print(f"{compared} records match the depth baseline, {len(unchecked)} not compared")
 
 
 def check_chaos_counters(path):
@@ -248,6 +325,7 @@ KINDS = {
     "trace-schema": (check_trace_schema, 4),
     "hwmcc-schema": (check_hwmcc_schema, 1),
     "report": (check_report, 2),
+    "table1-depths": (check_table1_depths, 2),
 }
 
 
@@ -255,10 +333,20 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--kind", required=True, choices=sorted(KINDS))
     parser.add_argument("files", nargs="+", help="artifact file(s), see --kind docs")
+    parser.add_argument(
+        "--update",
+        action="store_true",
+        help="table1-depths only: rewrite BASELINE from FILE instead of checking",
+    )
     args = parser.parse_args()
     check, arity = KINDS[args.kind]
     if len(args.files) != arity:
         parser.error(f"--kind {args.kind} takes exactly {arity} file argument(s)")
+    if args.update:
+        if args.kind != "table1-depths":
+            parser.error("--update only applies to --kind table1-depths")
+        write_table1_depths(*args.files)
+        return
     check(*args.files)
 
 

@@ -154,13 +154,14 @@ proptest! {
         incremental.assert_initial(0);
         for f in 1..=k {
             incremental.add_frame();
-            // Drain mid-growth, as the engine does; the snapshot below
+            // Drain mid-growth, as the engine does; the formula below
             // must still cover everything.
             incremental.mark_drained();
             prop_assert_eq!(incremental.num_frames(), f + 1);
         }
         let bad = incremental.bad_lit(k, 0);
-        let cached = incremental.snapshot_with([itpseq::cnf::Clause::new(vec![bad], 0)]);
+        incremental.assert_lit(bad);
+        let cached = incremental.into_cnf();
 
         let mut scratch = Unroller::new(&design);
         scratch.assert_initial(0);
