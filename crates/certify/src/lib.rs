@@ -5,8 +5,9 @@
 //! input trace for `falsified`.  This crate validates that evidence from
 //! scratch, so a certified verdict no longer requires trusting any engine
 //! code — the trust path is exactly the design parser ([`aig::parse_aag`]),
-//! the Tseitin encoder (`cnf`), the SAT solver (`sat`) and the replay
-//! interpreter ([`aig::simulate`](fn@aig::simulate)).
+//! the Tseitin encoder (`cnf`), the SAT solver (`sat`), the replay
+//! interpreter ([`aig::simulate`](fn@aig::simulate)) and the std-only JSON
+//! reader that parses the documents ([`telemetry::json`]).
 //!
 //! An invariant certificate `Inv` for property `p` is accepted when three
 //! SAT queries, each built by a fresh [`cnf::Unroller`] over the re-parsed
@@ -20,12 +21,10 @@
 //! reset state makes `bad_p` fire at *exactly* the reported depth (and at
 //! no earlier cycle — the engines report minimal depths).
 
-pub mod json;
-
 use aig::Aig;
 use cnf::Unroller;
-use json::Json;
 use sat::{SolveResult, Solver};
+use telemetry::json::Json;
 
 /// One parsed `itpseq-cert/v1` document.
 #[derive(Clone, Debug)]

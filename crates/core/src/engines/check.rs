@@ -1,18 +1,16 @@
-//! One proof-logging bounded check of the interpolation engines.
+//! One bounded check, as a fresh solver loads it.
 //!
-//! A check is assembled from cached encodings instead of being rebuilt:
-//! a freshly encoded frame-0 constraint, then clauses of a cached
-//! unrolling relocated behind it (see [`cnf::Shift`]).  [`solve`] loads
-//! those slices into a fresh governed solver in one bulk pass, through a
-//! single reusable relocation buffer, and returns the solver so the
-//! caller interpolates straight from its proof
+//! A check of the interpolation engines is assembled from cached
+//! encodings instead of being rebuilt: a freshly encoded frame-0
+//! constraint, then clauses of a cached unrolling relocated behind it
+//! (see [`cnf::Shift`]).
+//! [`EngineRun::solve_check`](crate::engines::run::EngineRun::solve_check)
+//! loads those slices into a fresh governed solver in one bulk pass,
+//! through a single reusable relocation buffer, and returns the solver so
+//! the caller interpolates straight from its proof
 //! ([`sat::Solver::proof_view`]).
 
-use crate::engines::{EngineProbe, RunBudget};
-use crate::EngineStats;
 use cnf::{Clause, Shift};
-use sat::{SolveResult, Solver};
-use telemetry::{ArgValue, Telemetry};
 
 /// A bounded check as it is loaded: `prefix` as it stands, then `body`
 /// and `tail` relocated by `shift`.
@@ -58,9 +56,25 @@ impl<'a> Check<'a> {
         }
     }
 
+    /// A whole formula as a check, in its own numbering.
+    pub fn of(cnf: &'a cnf::Cnf) -> Check<'a> {
+        Check {
+            prefix: &cnf.clauses,
+            body: &[],
+            tail: &[],
+            shift: Shift::default(),
+            num_vars: cnf.num_vars,
+        }
+    }
+
+    /// The clauses in load order, before relocation.
+    pub fn clauses(&self) -> impl Iterator<Item = &'a Clause> {
+        self.prefix.iter().chain(self.body).chain(self.tail)
+    }
+
     /// The clauses in load order, each relocated, paired with its
     /// partition.  `buffer` holds a relocated clause until the next one.
-    fn for_each_clause(&self, mut add: impl FnMut(&[cnf::Lit], u32)) {
+    pub fn for_each_clause(&self, mut add: impl FnMut(&[cnf::Lit], u32)) {
         for clause in self.prefix {
             add(&clause.lits, clause.partition);
         }
@@ -92,42 +106,4 @@ impl<'a> Check<'a> {
             clauses,
         }
     }
-}
-
-/// Loads `check` into a fresh proof-logging solver governed by `budget`
-/// (inside a `load` span) and solves it (inside a `sat` span).  The check
-/// counts in `stats` as one SAT call with its clauses encoded and its
-/// solver work.  The solver is returned for its model or its proof.
-pub(crate) fn solve(
-    check: &Check<'_>,
-    stats: &mut EngineStats,
-    budget: &RunBudget,
-    reduce: Option<u64>,
-    probe: &EngineProbe,
-    telemetry: &Telemetry,
-) -> (SolveResult, Solver) {
-    let clauses = check.num_clauses() as u64;
-    let load = telemetry.span_args("load", || vec![("clauses", ArgValue::U64(clauses))]);
-    let mut solver = Solver::new();
-    solver.set_reduce_interval(reduce);
-    budget.govern(&mut solver);
-    solver.set_progress_probe(probe.probe());
-    let lits = check
-        .prefix
-        .iter()
-        .chain(check.body)
-        .chain(check.tail)
-        .map(Clause::len)
-        .sum();
-    let mut loader = solver.bulk_load(check.num_vars, check.num_clauses(), lits);
-    check.for_each_clause(|lits, partition| loader.add_clause(lits, partition));
-    drop(loader);
-    load.end();
-    stats.sat_calls += 1;
-    stats.clauses_encoded += clauses;
-    let query = telemetry.span_args("sat", || vec![("clauses", ArgValue::U64(clauses))]);
-    let result = solver.solve();
-    query.end();
-    stats.add_solver_delta(solver.stats());
-    (result, solver)
 }

@@ -8,14 +8,15 @@
 //! proves the property or a satisfiable instance forces the bound to grow.
 
 use crate::certificate::{Certificate, InvariantCert, InvariantCone};
-use crate::engines::check::{self, Check};
-use crate::engines::{CancelToken, EngineProbe, RunBudget};
+use crate::engines::check::Check;
+use crate::engines::run::{model_values, EngineRun};
+use crate::engines::CancelToken;
 use crate::state::{set_constraint, StateSpace};
-use crate::{EngineResult, EngineStats, Options, Verdict};
+use crate::{EngineResult, EngineStats, Options, StopReason, Verdict};
 use aig::Aig;
 use cnf::{Cnf, Shift, Unroller};
 use itp::InterpolationContext;
-use sat::{ProofView, SolveResult, Solver};
+use sat::{ProofView, SolveResult};
 use std::collections::HashMap;
 use std::time::Instant;
 use telemetry::ArgValue;
@@ -129,19 +130,6 @@ fn build_bound_instance(
     (unroller.into_cnf(), frame1_latches)
 }
 
-/// Reads the counterexample input trace off a satisfiable reset check.
-fn extract_trace(body: &Body, solver: &Solver) -> Vec<Vec<bool>> {
-    body.frame_inputs
-        .iter()
-        .map(|frame| {
-            frame
-                .iter()
-                .map(|&lit| solver.lit_value(lit).unwrap_or(false))
-                .collect()
-        })
-        .collect()
-}
-
 /// The frame-1 interpolant of a refutation read in place, over the
 /// frame-1 latch variables `frame1_latches` of its check.
 fn extract_interpolant(
@@ -168,107 +156,55 @@ fn extract_interpolant(
     Ok(itp)
 }
 
-/// Runs standard interpolation on bad-state property `bad_index`.
-pub fn verify(design: &Aig, bad_index: usize, options: &Options) -> EngineResult {
-    verify_with_cancel(design, bad_index, options, &CancelToken::new())
-}
-
-/// [`verify`] under a cancellation token: the bound loop, the inner
-/// fixed-point iteration and each refutation stop soon after the token is
-/// cancelled.
-pub fn verify_with_cancel(
+/// Runs standard interpolation on bad-state property `bad_index`: the
+/// bound loop, the inner fixed-point iteration and each refutation stop
+/// soon after `cancel` is cancelled or the budget runs out.
+pub(crate) fn run(
     design: &Aig,
     bad_index: usize,
     options: &Options,
     cancel: &CancelToken,
 ) -> EngineResult {
-    let start = Instant::now();
-    let budget = RunBudget::arm(cancel, start, options);
-    let telemetry = &options.telemetry;
-    let _run = telemetry.span_args("ITP.run", || {
-        vec![("latches", ArgValue::U64(design.num_latches() as u64))]
-    });
-    let mut stats = EngineStats {
-        visible_latches: design.num_latches(),
-        ..EngineStats::default()
-    };
-    let finish = |mut stats: EngineStats,
-                  verdict: Verdict,
-                  certificate: Option<Certificate>,
-                  start: Instant| {
-        telemetry.instant_args("verdict", || {
-            vec![("verdict", ArgValue::Str(verdict.to_string()))]
-        });
-        stats.time = start.elapsed();
-        EngineResult {
-            verdict,
-            stats,
-            certificate,
-        }
-    };
-    if let Some((verdict, cert)) =
-        crate::engines::bmc::depth0_verdict(design, bad_index, &budget, &mut stats, options)
-    {
-        return finish(stats, verdict, cert, start);
+    let (mut run, _span) = EngineRun::new("ITP.run", design, &[], options, cancel);
+    if let Some((verdict, cert)) = run.depth0(design, bad_index) {
+        return run.finish(verdict, cert);
     }
-
-    let probe = EngineProbe::new(telemetry, options.probe_interval);
-    let mut space = StateSpace::new(design.num_latches(), &budget, options);
+    let telemetry = run.telemetry();
+    let mut space = StateSpace::new(design.num_latches(), &run);
     let s0 = space.initial_states(design);
     let identity: Vec<usize> = (0..design.num_latches()).collect();
     let num_latches = design.num_latches();
     let reset = reset_constraint(design);
 
     for k in 1..=options.max_bound {
-        if let Some(reason) = budget.stop_reason() {
-            return finish(
-                stats,
-                Verdict::Inconclusive {
-                    reason,
-                    bound_reached: k - 1,
-                },
-                None,
-                start,
-            );
+        if run.should_stop() {
+            return run.give_up(k - 1);
         }
         let _bound = telemetry.span_args("bound", || vec![("k", ArgValue::U64(k as u64))]);
-        probe.set_bound(k);
+        run.set_bound(k);
         if k > 1 {
             // `R` restarts from `S0`: no earlier state set is queried again.
-            space.restart_solver(&budget, options);
+            space.restart_solver(&run);
         }
         let encode = telemetry.span("encode");
         let encode_start = Instant::now();
         let body = Body::new(design, bad_index, k);
-        stats.encode_time += encode_start.elapsed();
+        run.stats.encode_time += encode_start.elapsed();
         encode.end();
         // Initial check from the real initial states.
-        let (result, solver) = check::solve(
-            &body.check(&reset, num_latches),
-            &mut stats,
-            &budget,
-            options.reduce_interval(),
-            &probe,
-            telemetry,
-        );
-        if result == SolveResult::Sat {
-            // bound-(k-1) was unsatisfiable, so the counterexample has
-            // length exactly k.
-            let cert = options
-                .certificates
-                .then(|| Certificate::Trace(extract_trace(&body, &solver)));
-            return finish(stats, Verdict::Falsified { depth: k }, cert, start);
-        }
-        if result == SolveResult::Interrupted {
-            return finish(
-                stats,
-                Verdict::Inconclusive {
-                    reason: budget.interrupt_reason(),
-                    bound_reached: k - 1,
-                },
-                None,
-                start,
-            );
+        let (result, solver) = run.solve_check(&body.check(&reset, num_latches), true, &[]);
+        match result {
+            SolveResult::Unsat => {}
+            SolveResult::Sat => {
+                // bound-(k-1) was unsatisfiable, so the counterexample has
+                // length exactly k.
+                let cert = options.certificates.then(|| {
+                    let trace = body.frame_inputs.iter();
+                    Certificate::Trace(trace.map(|frame| model_values(&solver, frame)).collect())
+                });
+                return run.finish(Verdict::Falsified { depth: k }, cert);
+            }
+            SolveResult::Interrupted => return run.give_up(k - 1),
         }
         let mut solver = solver;
         let mut shift = Shift::default();
@@ -286,33 +222,21 @@ pub fn verify_with_cancel(
                 solver.proof_view().expect("unsat result has a proof"),
                 body.frame1_latches.iter().map(|&lit| shift.lit(lit)),
                 &mut space,
-                &mut stats,
+                &mut run.stats,
             );
             interpolate.end();
             let itp = match extracted {
                 Ok(itp) => itp,
                 Err(reason) => {
-                    return finish(
-                        stats,
-                        Verdict::Inconclusive {
-                            reason: crate::types::StopReason::other(reason),
-                            bound_reached: k,
-                        },
-                        None,
-                        start,
-                    );
+                    let verdict = Verdict::Inconclusive {
+                        reason: StopReason::other(reason),
+                        bound_reached: k,
+                    };
+                    return run.finish(verdict, None);
                 }
             };
-            let Ok(fixpoint) = space.implies(itp, reached, &mut stats) else {
-                return finish(
-                    stats,
-                    Verdict::Inconclusive {
-                        reason: budget.interrupt_reason(),
-                        bound_reached: k,
-                    },
-                    None,
-                    start,
-                );
+            let Ok(fixpoint) = space.implies(itp, reached, &mut run.stats) else {
+                return run.give_up(k);
             };
             if fixpoint {
                 // `reached = S0 ∨ itp_1 ∨ …` is closed under the transition
@@ -334,85 +258,46 @@ pub fn verify_with_cancel(
                         )),
                     })
                 });
-                return finish(stats, Verdict::Proved { k_fp: k, j_fp: j }, cert, start);
+                return run.finish(Verdict::Proved { k_fp: k, j_fp: j }, cert);
             }
             reached = space.or(reached, itp);
-            if let Some(reason) = budget.stop_reason() {
-                return finish(
-                    stats,
-                    Verdict::Inconclusive {
-                        reason,
-                        bound_reached: k,
-                    },
-                    None,
-                    start,
-                );
+            if run.should_stop() {
+                return run.give_up(k);
             }
             let encode = telemetry.span("encode");
             let encode_start = Instant::now();
             let frontier = set_constraint(&space, itp, &identity, num_latches);
-            stats.encode_time += encode_start.elapsed();
+            run.stats.encode_time += encode_start.elapsed();
             encode.end();
             let check = body.check(&frontier, num_latches);
             shift = check.shift;
-            let (result, next) = check::solve(
-                &check,
-                &mut stats,
-                &budget,
-                options.reduce_interval(),
-                &probe,
-                telemetry,
-            );
-            if result == SolveResult::Sat {
+            let (result, next) = run.solve_check(&check, true, &[]);
+            match result {
+                SolveResult::Unsat => solver = next,
                 // Spurious hit from the over-approximated frontier: deepen.
-                break;
+                SolveResult::Sat => break,
+                SolveResult::Interrupted => return run.give_up(k),
             }
-            if result == SolveResult::Interrupted {
-                return finish(
-                    stats,
-                    Verdict::Inconclusive {
-                        reason: budget.interrupt_reason(),
-                        bound_reached: k,
-                    },
-                    None,
-                    start,
-                );
-            }
-            solver = next;
         }
     }
 
-    finish(
-        stats,
+    run.finish(
         Verdict::Inconclusive {
-            reason: crate::types::StopReason::BoundExhausted,
+            reason: StopReason::BoundExhausted,
             bound_reached: options.max_bound,
         },
         None,
-        start,
     )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engines::CancelToken;
-    use crate::Options;
-    use aig::builder::{latch_word, word_equals_const, word_increment, word_mux};
+    use crate::Engine;
+    use workloads::counter::modular as modular_counter;
 
-    fn modular_counter(width: usize, modulus: u64, bad_at: u64) -> Aig {
-        let mut aig = Aig::new();
-        let (ids, bits) = latch_word(&mut aig, width, 0);
-        let wrap = word_equals_const(&mut aig, &bits, modulus - 1);
-        let inc = word_increment(&mut aig, &bits, aig::Lit::TRUE);
-        let zero = aig::builder::word_const(width, 0);
-        let next = word_mux(&mut aig, wrap, &zero, &inc);
-        for (id, n) in ids.iter().zip(next.iter()) {
-            aig.set_next(*id, *n);
-        }
-        let bad = word_equals_const(&mut aig, &bits, bad_at);
-        aig.add_bad(bad);
-        aig
+    fn verify(aig: &Aig, bad_index: usize, options: &Options) -> EngineResult {
+        Engine::Itp.dispatch(aig, bad_index, options, &CancelToken::new())
     }
 
     #[test]
@@ -463,11 +348,12 @@ mod tests {
                 .map(|b| b.aig),
         );
         let options = Options::default();
-        let budget = RunBudget::arm(&CancelToken::new(), Instant::now(), &options);
         for design in &designs {
+            let (run, _span) =
+                EngineRun::new("ITP.run", design, &[], &options, &CancelToken::new());
             let n = design.num_latches();
             let identity: Vec<usize> = (0..n).collect();
-            let mut space = StateSpace::new(n, &budget, &options);
+            let mut space = StateSpace::new(n, &run);
             let mut frontiers = vec![space.initial_states(design), aig::Lit::TRUE];
             for i in 0..n {
                 let latch = space.latch(i);

@@ -10,13 +10,11 @@
 pub mod bmc;
 pub(crate) mod check;
 pub mod itp;
-pub mod itpseq;
-pub mod itpseq_cba;
 pub mod pdr;
 pub(crate) mod pool;
 pub mod portfolio;
-pub(crate) mod seq;
-pub mod sitpseq;
+pub(crate) mod run;
+pub mod seq;
 
 use crate::types::StopReason;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -26,8 +24,8 @@ use telemetry::{ArgValue, Telemetry};
 /// The per-run progress publisher: periodic `"solver"` counter samples
 /// *and* `"progress"` heartbeat instants on one telemetry track.
 ///
-/// Every engine builds one of these per run and installs
-/// [`probe`](Self::probe) on its long-lived solvers — that is how
+/// Every [`EngineRun`](run::EngineRun) builds one of these and installs
+/// [`probe`](Self::probe) on every solver it creates — that is how
 /// restart/decision/propagation progress surfaces in a trace without a
 /// single callback from the propagation inner loop.  The engine main loop
 /// additionally publishes the bound/frame/level it is working on through
@@ -258,22 +256,6 @@ impl RunBudget {
         Arc::clone(&self.flag)
     }
 
-    /// Installs the run's full governance on a solver: the interrupt
-    /// flag, the shared memory budget and the fault-injection plan.
-    pub fn govern(&self, solver: &mut sat::Solver) {
-        solver.set_interrupt(Some(self.flag()));
-        solver.set_memory_budget(self.memory.clone());
-        solver.set_faults(self.faults.clone());
-    }
-
-    /// [`govern`](Self::govern) for an [`sat::IncrementalSolver`] (the
-    /// settings additionally survive its recycling rebuilds).
-    pub fn govern_incremental(&self, solver: &mut sat::IncrementalSolver) {
-        solver.set_interrupt(Some(self.flag()));
-        solver.set_memory_budget(self.memory.clone());
-        solver.set_faults(self.faults.clone());
-    }
-
     /// `true` when the shared memory budget recorded a hit since this
     /// budget was armed.
     fn memory_hit(&self) -> bool {
@@ -446,5 +428,227 @@ mod tests {
             budget.flag().load(Ordering::Acquire),
             "the injected stop also interrupts the solvers"
         );
+    }
+}
+
+/// End-to-end tests of the three sequence engines, one module per engine
+/// (they are one loop, `seq::run`, under three configurations).
+#[cfg(test)]
+mod itpseq {
+    mod tests {
+        use super::super::seq_tests::{assert_matches_bdd, modular_counter, verify};
+        use crate::{Engine, Options, Verdict};
+        use cnf::BmcCheck;
+
+        const ENGINE: Engine = Engine::ItpSeq;
+
+        #[test]
+        fn proves_unreachable_counter_value() {
+            let aig = modular_counter(3, 6, 7);
+            let result = verify(ENGINE, &aig, &Options::default());
+            assert!(result.verdict.is_proved(), "verdict: {}", result.verdict);
+            assert!(result.stats.interpolants > 0);
+        }
+
+        #[test]
+        fn falsifies_reachable_counter_value_at_exact_depth() {
+            let aig = modular_counter(3, 6, 5);
+            let result = verify(ENGINE, &aig, &Options::default());
+            assert_eq!(result.verdict, Verdict::Falsified { depth: 5 });
+        }
+
+        #[test]
+        fn exact_and_assume_checks_agree_on_verdicts() {
+            for bad_at in [2u64, 7] {
+                let aig = modular_counter(3, 6, bad_at);
+                let check = |check| verify(ENGINE, &aig, &Options::default().with_check(check));
+                let (exact, assume) = (check(BmcCheck::Exact), check(BmcCheck::ExactAssume));
+                assert_eq!(
+                    exact.verdict.is_proved(),
+                    assume.verdict.is_proved(),
+                    "bad_at={bad_at}"
+                );
+                assert_eq!(
+                    exact.verdict.is_falsified(),
+                    assume.verdict.is_falsified(),
+                    "bad_at={bad_at}"
+                );
+            }
+        }
+
+        #[test]
+        fn verdicts_match_exact_bdd_reachability() {
+            for bad_at in 1..8u64 {
+                let aig = modular_counter(3, 6, bad_at);
+                assert_matches_bdd(ENGINE, &aig, &Options::default());
+            }
+        }
+
+        #[test]
+        fn bound_budget_exhaustion_is_inconclusive() {
+            // The counter needs bound 6 of reasoning; cap it at 2.
+            let aig = modular_counter(3, 6, 7);
+            let result = verify(ENGINE, &aig, &Options::default().with_max_bound(2));
+            assert!(matches!(
+                result.verdict,
+                Verdict::Inconclusive {
+                    bound_reached: 2,
+                    ..
+                } | Verdict::Proved { .. }
+            ));
+        }
+    }
+}
+
+#[cfg(test)]
+mod sitpseq {
+    mod tests {
+        use super::super::seq_tests::{assert_matches_bdd, modular_counter, verify};
+        use crate::{Engine, Options, Verdict};
+
+        const ENGINE: Engine = Engine::SerialItpSeq;
+
+        #[test]
+        fn proves_unreachable_counter_value() {
+            let aig = modular_counter(3, 6, 6);
+            let result = verify(ENGINE, &aig, &Options::default());
+            assert!(result.verdict.is_proved(), "verdict: {}", result.verdict);
+        }
+
+        #[test]
+        fn falsifies_reachable_counter_value() {
+            let aig = modular_counter(3, 6, 3);
+            let result = verify(ENGINE, &aig, &Options::default());
+            assert_eq!(result.verdict, Verdict::Falsified { depth: 3 });
+        }
+
+        #[test]
+        fn every_alpha_setting_is_sound() {
+            for alpha in [0.0, 0.25, 0.5, 0.75, 1.0] {
+                for bad_at in [3u64, 7] {
+                    let aig = modular_counter(3, 6, bad_at);
+                    assert_matches_bdd(ENGINE, &aig, &Options::default().with_alpha(alpha));
+                }
+            }
+        }
+
+        #[test]
+        fn serial_steps_issue_more_sat_calls_than_parallel() {
+            let aig = modular_counter(3, 6, 7);
+            let parallel = verify(ENGINE, &aig, &Options::default().with_alpha(0.0));
+            let serial = verify(ENGINE, &aig, &Options::default().with_alpha(1.0));
+            assert!(parallel.verdict.is_proved());
+            assert!(serial.verdict.is_proved());
+            assert!(serial.stats.sat_calls >= parallel.stats.sat_calls);
+        }
+    }
+}
+
+#[cfg(test)]
+mod itpseq_cba {
+    mod tests {
+        use super::super::seq_tests::{assert_matches_bdd, modular_counter, verify};
+        use crate::{Engine, Options, Verdict};
+        use aig::builder::{latch_word, word_equals_const, word_increment, word_mux};
+        use aig::Aig;
+
+        const ENGINE: Engine = Engine::ItpSeqCba;
+
+        /// A design where half the latches are irrelevant to the property,
+        /// so the abstraction should stay strictly smaller than the design.
+        fn counter_with_dead_logic(bad_at: u64) -> Aig {
+            let mut aig = modular_counter(3, 6, bad_at);
+            // Irrelevant free-running toggles driven by an input.
+            let noise_in = aig::Lit::positive(aig.add_input());
+            for _ in 0..4 {
+                let l = aig.add_latch(false);
+                let cur = aig.latch_lit(l);
+                let next = aig.xor(cur, noise_in);
+                aig.set_next(l, next);
+            }
+            aig
+        }
+
+        #[test]
+        fn proves_unreachable_counter_value() {
+            let aig = modular_counter(3, 6, 7);
+            let result = verify(ENGINE, &aig, &Options::default());
+            assert!(result.verdict.is_proved(), "verdict: {}", result.verdict);
+        }
+
+        #[test]
+        fn falsifies_reachable_counter_value() {
+            let aig = modular_counter(3, 6, 2);
+            let result = verify(ENGINE, &aig, &Options::default());
+            assert_eq!(result.verdict, Verdict::Falsified { depth: 2 });
+        }
+
+        #[test]
+        fn abstraction_ignores_irrelevant_latches() {
+            let aig = counter_with_dead_logic(7);
+            let result = verify(ENGINE, &aig, &Options::default());
+            assert!(result.verdict.is_proved(), "verdict: {}", result.verdict);
+            assert!(
+                result.stats.visible_latches <= 3,
+                "only the counter latches should become visible, got {}",
+                result.stats.visible_latches
+            );
+        }
+
+        #[test]
+        fn refinement_occurs_when_property_depends_on_hidden_state() {
+            // The property reads only the top bit of a counter wrapping at
+            // 3, which never rises: the initial abstraction hides the lower
+            // bits and must be refined before the proof succeeds.
+            let mut aig = Aig::new();
+            let (ids, bits) = latch_word(&mut aig, 3, 0);
+            let wrap = word_equals_const(&mut aig, &bits, 3);
+            let inc = word_increment(&mut aig, &bits, aig::Lit::TRUE);
+            let zero = aig::builder::word_const(3, 0);
+            let next = word_mux(&mut aig, wrap, &zero, &inc);
+            for (id, n) in ids.iter().zip(next.iter()) {
+                aig.set_next(*id, *n);
+            }
+            aig.add_bad(bits[2]);
+            let result = verify(ENGINE, &aig, &Options::default());
+            assert!(result.verdict.is_proved(), "verdict: {}", result.verdict);
+        }
+
+        #[test]
+        fn verdicts_match_exact_bdd_reachability() {
+            for bad_at in [1u64, 3, 6, 7] {
+                let aig = counter_with_dead_logic(bad_at);
+                assert_matches_bdd(ENGINE, &aig, &Options::default());
+            }
+        }
+    }
+}
+
+/// The helpers the sequence engines' test modules share.
+#[cfg(test)]
+mod seq_tests {
+    use crate::{Engine, EngineResult, Options, Verdict};
+    use aig::Aig;
+
+    pub use workloads::counter::modular as modular_counter;
+
+    /// Runs `engine` on property 0 of `aig`, without preprocessing.
+    pub fn verify(engine: Engine, aig: &Aig, options: &Options) -> EngineResult {
+        engine.dispatch(aig, 0, options, &super::CancelToken::new())
+    }
+
+    /// `engine`'s verdict on property 0 of `aig` is the exact one: proved
+    /// when BDD reachability passes, falsified at the same depth when it
+    /// fails.
+    pub fn assert_matches_bdd(engine: Engine, aig: &Aig, options: &Options) {
+        let exact = bdd::reach::analyze(aig, 0, 1_000_000);
+        let got = verify(engine, aig, options).verdict;
+        match exact.verdict {
+            bdd::BddVerdict::Pass => assert!(got.is_proved(), "{engine}: {got}"),
+            bdd::BddVerdict::Fail { depth } => {
+                assert_eq!(got, Verdict::Falsified { depth }, "{engine}")
+            }
+            bdd::BddVerdict::Overflow => unreachable!("tiny designs cannot overflow"),
+        }
     }
 }

@@ -62,9 +62,11 @@ mod generalize;
 mod obligations;
 
 use crate::certificate::{Certificate, InvariantCert};
-use crate::engines::{pool, CancelToken, EngineProbe, RunBudget};
+use crate::engines::run::{solve, EngineRun};
+use crate::engines::{pool, CancelToken};
 use crate::multi::{RetireBoard, StatusSlots};
-use crate::{EngineResult, EngineStats, MultiResult, Options, PropertyStatus, Verdict};
+use crate::state::Interrupted;
+use crate::{EngineResult, MultiResult, Options, PropertyStatus, Verdict};
 use aig::Aig;
 use cnf::{Cnf, Lit, Unroller};
 use frames::{Cube, FrameTrace};
@@ -73,51 +75,27 @@ use sat::{IncrementalSolver, SolveResult};
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
-use telemetry::{ArgValue, Telemetry};
+use telemetry::ArgValue;
 
 /// Minimum number of per-frame queries before the engine bothers cloning
 /// solvers for a parallel pass.
 const PAR_MIN_ITEMS: usize = 4;
 
-/// Runs PDR on bad-state property `bad_index` of `aig`.
-pub fn verify(aig: &Aig, bad_index: usize, options: &Options) -> EngineResult {
-    verify_with_cancel(aig, bad_index, options, &CancelToken::new())
-}
-
-/// [`verify`] under a cancellation token: the outer loop, the blocking
-/// phase, propagation, generalization and every SAT query stop soon after
-/// the token is cancelled or the wall-clock budget runs out (the deadline
-/// reaches the solvers through the same interrupt flag).
-pub fn verify_with_cancel(
+/// Runs PDR on bad-state property `bad_index` of `aig`: the outer loop,
+/// the blocking phase, propagation, generalization and every SAT query
+/// stop soon after `cancel` is cancelled or the wall-clock budget runs out
+/// (the deadline reaches the solvers through the same interrupt flag).
+pub(crate) fn run(
     aig: &Aig,
     bad_index: usize,
     options: &Options,
     cancel: &CancelToken,
 ) -> EngineResult {
-    let start = Instant::now();
-    let telemetry = &options.telemetry;
-    let _run = telemetry.span_args("PDR.run", || {
-        vec![("latches", ArgValue::U64(aig.num_latches() as u64))]
-    });
-    let mut stats = EngineStats {
-        visible_latches: aig.num_latches(),
-        ..EngineStats::default()
-    };
-    let budget = RunBudget::arm(cancel, start, options);
-    if let Some((verdict, certificate)) =
-        crate::engines::bmc::depth0_verdict(aig, bad_index, &budget, &mut stats, options)
-    {
-        telemetry.instant_args("verdict", || {
-            vec![("verdict", ArgValue::Str(verdict.to_string()))]
-        });
-        stats.time = start.elapsed();
-        return EngineResult {
-            verdict,
-            stats,
-            certificate,
-        };
+    let (mut run, _span) = EngineRun::new("PDR.run", aig, &[], options, cancel);
+    if let Some((verdict, certificate)) = run.depth0(aig, bad_index) {
+        return run.finish(verdict, certificate);
     }
-    Pdr::new(aig, &[bad_index], options, start, stats, &budget).run()
+    Pdr::new(aig, &[bad_index], run).run()
 }
 
 /// Amortized multi-property PDR: one frame trace and one per-frame solver
@@ -147,29 +125,13 @@ pub(crate) fn verify_all_with_cancel(
     cancel: &CancelToken,
     board: Option<&RetireBoard>,
 ) -> MultiResult {
-    let start = Instant::now();
     let telemetry = &options.telemetry;
-    let _run = telemetry.span_args("PDR.multi", || {
-        vec![
-            ("props", ArgValue::U64(props.len() as u64)),
-            ("latches", ArgValue::U64(aig.num_latches() as u64)),
-        ]
-    });
-    let stats = EngineStats {
-        visible_latches: aig.num_latches(),
-        ..EngineStats::default()
-    };
-    let budget = RunBudget::arm(cancel, start, options);
+    let props_arg = [("props", props.len() as u64)];
+    let (run, _span) = EngineRun::new("PDR.multi", aig, &props_arg, options, cancel);
     let mut statuses = StatusSlots::new(props.len(), board, telemetry.clone());
-    let mut pdr = Pdr::new(aig, props, options, start, stats, &budget);
-
-    let finish = |mut pdr: Pdr<'_>, statuses: StatusSlots<'_>| {
-        pdr.stats.time = start.elapsed();
-        MultiResult {
-            statuses: statuses.into_statuses(),
-            stats: pdr.stats,
-        }
-    };
+    let mut pdr = Pdr::new(aig, props, run);
+    let finish =
+        |pdr: Pdr<'_>, statuses: StatusSlots<'_>| pdr.run.finish_all(statuses.into_statuses());
 
     // Depth 0 per property, answered by the init solver (`I ∧ T` plus
     // every bad cone): equisatisfiable with the per-property check.
@@ -178,7 +140,7 @@ pub(crate) fn verify_all_with_cancel(
             continue;
         }
         let bad0 = pdr.bads0[i];
-        let result = Pdr::solve_on(&mut pdr.solvers[0], &mut pdr.stats, telemetry, &[bad0]);
+        let result = solve(&mut pdr.solvers[0], &[bad0], &mut pdr.run.stats, telemetry);
         match result {
             SolveResult::Sat => {
                 // The init solver's model fixes the frame-0 inputs that
@@ -191,7 +153,7 @@ pub(crate) fn verify_all_with_cancel(
             }
             SolveResult::Unsat => {}
             SolveResult::Interrupted => {
-                statuses.give_up(budget.interrupt_reason(), 0);
+                statuses.give_up(pdr.run.stop_reason(), 0);
                 return finish(pdr, statuses);
             }
         }
@@ -199,7 +161,7 @@ pub(crate) fn verify_all_with_cancel(
 
     for level in 1..=options.max_bound {
         let _level = telemetry.span_args("level", || vec![("k", ArgValue::U64(level as u64))]);
-        pdr.probe.set_bound(level);
+        pdr.run.set_bound(level);
         statuses.sync_board(level - 1);
         let live = statuses.live();
         if live.is_empty() {
@@ -218,7 +180,7 @@ pub(crate) fn verify_all_with_cancel(
                     statuses.decide(i, PropertyStatus::Falsified { depth, cex: trace });
                 }
                 Phase::Stopped => {
-                    statuses.give_up(pdr.stop_reason(), level - 1);
+                    statuses.give_up(pdr.run.stop_reason(), level - 1);
                     return finish(pdr, statuses);
                 }
                 Phase::Done => {}
@@ -237,7 +199,7 @@ pub(crate) fn verify_all_with_cancel(
                 pdr.invariant(frame)
             });
             let cert = cert.map(|mut inv| {
-                pdr.stats.cert_clauses_subsumed += inv.compress() as u64;
+                pdr.run.stats.cert_clauses_subsumed += inv.compress() as u64;
                 Arc::new(inv)
             });
             for i in statuses.live() {
@@ -252,8 +214,8 @@ pub(crate) fn verify_all_with_cancel(
             }
             return finish(pdr, statuses);
         }
-        if pdr.stopped() {
-            statuses.give_up(pdr.stop_reason(), level);
+        if pdr.run.should_stop() {
+            statuses.give_up(pdr.run.stop_reason(), level);
             return finish(pdr, statuses);
         }
     }
@@ -293,9 +255,8 @@ enum Phase {
 /// The PDR engine state shared by the loop and the generalization module.
 struct Pdr<'a> {
     options: &'a Options,
-    start: Instant,
-    stats: EngineStats,
-    budget: &'a RunBudget,
+    /// The run: counters, budget, stop rule and solver factory.
+    run: EngineRun<'a>,
     /// Worker threads for the parallel frame phases (1 = sequential).
     threads: usize,
     /// The (unique) initial state, one value per latch.
@@ -323,9 +284,6 @@ struct Pdr<'a> {
     obligations: ObligationQueue,
     /// Number of design latches (for invariant certificates).
     num_latches: usize,
-    /// Progress publisher shared by every solver of the run; the major
-    /// loop keeps its current level in it.
-    probe: EngineProbe,
     /// Path arena for counterexample reconstruction: one
     /// `(inputs, successor)` entry per discovered predecessor, indexed by
     /// [`Obligation::path`].  Cleared with each new obligation root.
@@ -333,14 +291,7 @@ struct Pdr<'a> {
 }
 
 impl<'a> Pdr<'a> {
-    fn new(
-        aig: &'a Aig,
-        bad_indices: &[usize],
-        options: &'a Options,
-        start: Instant,
-        mut stats: EngineStats,
-        budget: &'a RunBudget,
-    ) -> Pdr<'a> {
+    fn new(aig: &'a Aig, bad_indices: &[usize], mut run: EngineRun<'a>) -> Pdr<'a> {
         let encode_start = Instant::now();
         let mut unroller = Unroller::new(aig);
         for input in 0..aig.num_inputs() {
@@ -357,8 +308,8 @@ impl<'a> Pdr<'a> {
             .map(|input| unroller.input_lit(0, input))
             .collect();
         let template = unroller.into_cnf();
-        stats.clauses_encoded += template.clauses.len() as u64;
-        stats.encode_time += encode_start.elapsed();
+        run.stats.clauses_encoded += template.clauses.len() as u64;
+        run.stats.encode_time += encode_start.elapsed();
 
         let latch_of_var0 = latch0
             .iter()
@@ -371,27 +322,17 @@ impl<'a> Pdr<'a> {
             .map(|(latch, lit)| (lit.var().index(), latch))
             .collect();
 
-        let probe = EngineProbe::new(&options.telemetry, options.probe_interval);
         let init: Vec<bool> = (0..aig.num_latches()).map(|l| aig.init(l)).collect();
-        let mut init_solver = IncrementalSolver::with_base(&template);
-        init_solver.set_reduce_interval(options.reduce_interval());
-        budget.govern_incremental(&mut init_solver);
-        init_solver.set_progress_probe(probe.probe());
+        let mut init_solver = run.incremental_with_base(&template);
         for (latch, &value) in init.iter().enumerate() {
             let lit = if value { latch0[latch] } else { !latch0[latch] };
             init_solver.add_clause([lit]);
         }
-        let mut lift = IncrementalSolver::with_base(&template);
-        lift.set_reduce_interval(options.reduce_interval());
-        budget.govern_incremental(&mut lift);
-        lift.set_progress_probe(probe.probe());
+        let lift = run.incremental_with_base(&template);
 
         Pdr {
-            options,
-            start,
-            stats,
-            budget,
-            threads: options.effective_threads().max(1),
+            options: run.options,
+            threads: run.options.effective_threads().max(1),
             init,
             template,
             latch0,
@@ -405,8 +346,8 @@ impl<'a> Pdr<'a> {
             frames: FrameTrace::new(),
             obligations: ObligationQueue::new(),
             num_latches: aig.num_latches(),
-            probe,
             paths: Vec::new(),
+            run,
         }
     }
 
@@ -419,23 +360,14 @@ impl<'a> Pdr<'a> {
                 .options
                 .telemetry
                 .span_args("level", || vec![("k", ArgValue::U64(level as u64))]);
-            self.probe.set_bound(level);
+            self.run.set_bound(level);
             self.extend();
             match self.blocking_phase(0) {
                 Phase::Falsified { depth, trace } => {
-                    return self
-                        .finish(Verdict::Falsified { depth }, trace.map(Certificate::Trace));
+                    let certificate = trace.map(Certificate::Trace);
+                    return self.run.finish(Verdict::Falsified { depth }, certificate);
                 }
-                Phase::Stopped => {
-                    let reason = self.stop_reason();
-                    return self.finish(
-                        Verdict::Inconclusive {
-                            reason,
-                            bound_reached: level - 1,
-                        },
-                        None,
-                    );
-                }
+                Phase::Stopped => return self.run.give_up(level - 1),
                 Phase::Done => {}
             }
             if let Some(frame) = self.propagate() {
@@ -444,10 +376,10 @@ impl<'a> Pdr<'a> {
                     self.invariant(frame)
                 });
                 let certificate = certificate.map(|mut inv| {
-                    self.stats.cert_clauses_subsumed += inv.compress() as u64;
+                    self.run.stats.cert_clauses_subsumed += inv.compress() as u64;
                     Certificate::Invariant(inv)
                 });
-                return self.finish(
+                return self.run.finish(
                     Verdict::Proved {
                         k_fp: level,
                         j_fp: frame,
@@ -455,37 +387,18 @@ impl<'a> Pdr<'a> {
                     certificate,
                 );
             }
-            if self.stopped() {
-                let reason = self.stop_reason();
-                return self.finish(
-                    Verdict::Inconclusive {
-                        reason,
-                        bound_reached: level,
-                    },
-                    None,
-                );
+            if self.run.should_stop() {
+                return self.run.give_up(level);
             }
         }
         let bound_reached = self.options.max_bound;
-        self.finish(
+        self.run.finish(
             Verdict::Inconclusive {
                 reason: crate::types::StopReason::BoundExhausted,
                 bound_reached,
             },
             None,
         )
-    }
-
-    fn finish(mut self, verdict: Verdict, certificate: Option<Certificate>) -> EngineResult {
-        self.options.telemetry.instant_args("verdict", || {
-            vec![("verdict", ArgValue::Str(verdict.to_string()))]
-        });
-        self.stats.time = self.start.elapsed();
-        EngineResult {
-            verdict,
-            stats: self.stats,
-            certificate,
-        }
     }
 
     /// Exports the converged frame `F_frame` as an inductive-invariant
@@ -502,29 +415,13 @@ impl<'a> Pdr<'a> {
         }
     }
 
-    /// Returns `true` when the engine must stop: the time budget ran out
-    /// or the supervisor cancelled the run.
-    fn stopped(&self) -> bool {
-        self.budget.stop_reason().is_some()
-    }
-
-    /// The reason to report for a stop, cancellation taking precedence.
-    fn stop_reason(&self) -> crate::types::StopReason {
-        self.budget
-            .stop_reason()
-            .unwrap_or(crate::types::StopReason::Timeout)
-    }
-
     /// Opens frame `k`: a fresh unconstrained frontier with its own solver.
     fn extend(&mut self) {
         self.frames.push_frame();
         self.options.telemetry.instant_args("extend", || {
             vec![("frames", ArgValue::U64(self.frames.level() as u64 + 1))]
         });
-        let mut solver = IncrementalSolver::with_base(&self.template);
-        solver.set_reduce_interval(self.options.reduce_interval());
-        self.budget.govern_incremental(&mut solver);
-        solver.set_progress_probe(self.probe.probe());
+        let solver = self.run.incremental_with_base(&self.template);
         self.solvers.push(solver);
     }
 
@@ -547,15 +444,17 @@ impl<'a> Pdr<'a> {
             }
         };
         loop {
-            if self.stopped() {
+            if self.run.should_stop() {
                 report(&self.options.telemetry, obligations_processed);
                 return Phase::Stopped;
             }
-            let Some((bad, path)) = self.get_bad(prop) else {
-                // `None` also covers an interrupted query: distinguish a
-                // clean "no bad states" from a cancelled probe.
+            let found = self.get_bad(prop);
+            let Ok(Some((bad, path))) = found else {
+                // An interrupted query (a raised flag or an injected
+                // spurious interrupt) stops the run: its frontier was not
+                // shown clean.
                 report(&self.options.telemetry, obligations_processed);
-                if self.stopped() {
+                if self.run.should_stop() || found.is_err() {
                     return Phase::Stopped;
                 }
                 return Phase::Done;
@@ -569,7 +468,7 @@ impl<'a> Pdr<'a> {
             });
             while let Some(obligation) = self.obligations.pop() {
                 obligations_processed += 1;
-                if self.stopped() {
+                if self.run.should_stop() {
                     report(&self.options.telemetry, obligations_processed);
                     return Phase::Stopped;
                 }
@@ -627,21 +526,22 @@ impl<'a> Pdr<'a> {
     }
 
     /// Returns a (lifted) frontier state that exhibits property `prop`'s
-    /// bad cone together with its path-arena root entry, or `None` when
-    /// `F_k ∧ bad` is unsatisfiable.
-    fn get_bad(&mut self, prop: usize) -> Option<(Cube, u32)> {
+    /// bad cone together with its path-arena root entry, `None` when
+    /// `F_k ∧ bad` is unsatisfiable, or `Interrupted` when a query was
+    /// interrupted before an answer.
+    fn get_bad(&mut self, prop: usize) -> Result<Option<(Cube, u32)>, Interrupted> {
         let level = self.frames.level();
         let bad0 = self.bads0[prop];
-        let result = Self::solve_on(
+        let result = solve(
             &mut self.solvers[level],
-            &mut self.stats,
-            &self.options.telemetry,
             &[bad0],
+            &mut self.run.stats,
+            &self.options.telemetry,
         );
-        if result != SolveResult::Sat {
-            // Unsat: the frontier is clean.  Interrupted: the caller
-            // re-checks `stopped` and winds down.
-            return None;
+        match result {
+            SolveResult::Sat => {}
+            SolveResult::Unsat => return Ok(None),
+            SolveResult::Interrupted => return Err(Interrupted),
         }
         let (state, inputs) = self.model_state_and_inputs(level);
         // Root of this round's obligation chains: the inputs that fire
@@ -653,14 +553,14 @@ impl<'a> Pdr<'a> {
         let mut assumptions = inputs;
         assumptions.push(!bad0);
         assumptions.extend_from_slice(&state);
-        let lifted = Self::solve_on(
+        let lifted = solve(
             &mut self.lift,
-            &mut self.stats,
-            &self.options.telemetry,
             &assumptions,
+            &mut self.run.stats,
+            &self.options.telemetry,
         );
         if lifted == SolveResult::Interrupted {
-            return None;
+            return Err(Interrupted);
         }
         let cube = if lifted == SolveResult::Unsat {
             // When the bad cone is a bare latch literal, `¬bad0` aliases a
@@ -677,11 +577,11 @@ impl<'a> Pdr<'a> {
             debug_assert!(false, "a total assignment must decide the bad cone");
             Cube::new(Vec::new())
         };
-        Some(if cube.is_empty() {
+        Ok(Some(if cube.is_empty() {
             (self.cube_from_state_lits(&state), path)
         } else {
             (cube, path)
-        })
+        }))
     }
 
     /// The one-step relative-induction query
@@ -697,11 +597,11 @@ impl<'a> Pdr<'a> {
             .map(|(latch, value)| Self::state_lit(&self.latch1, latch, value))
             .collect();
         let guard = self.solvers[frame - 1].add_retirable_clause(clause);
-        let result = Self::solve_on(
+        let result = solve(
             &mut self.solvers[frame - 1],
-            &mut self.stats,
-            &self.options.telemetry,
             &assumptions,
+            &mut self.run.stats,
+            &self.options.telemetry,
         );
         match result {
             SolveResult::Unsat => {
@@ -736,11 +636,11 @@ impl<'a> Pdr<'a> {
         let guard = self.lift.add_retirable_clause(blocking);
         let mut assumptions = inputs;
         assumptions.extend_from_slice(&state);
-        let result = Self::solve_on(
+        let result = solve(
             &mut self.lift,
-            &mut self.stats,
-            &self.options.telemetry,
             &assumptions,
+            &mut self.run.stats,
+            &self.options.telemetry,
         );
         let cube = if result == SolveResult::Unsat {
             self.cube_from_core0(&self.lift.assumption_core())
@@ -802,7 +702,7 @@ impl<'a> Pdr<'a> {
             if self.frames.frame_converged(frame) {
                 return Some(frame);
             }
-            if self.stopped() {
+            if self.run.should_stop() {
                 return None;
             }
         }
@@ -838,18 +738,18 @@ impl<'a> Pdr<'a> {
             batch.end();
             self.record_pool_reruns(reruns);
             for &(_, delta) in &answers {
-                self.stats.sat_calls += 1;
-                self.stats.add_solver_delta(delta);
+                self.run.stats.sat_calls += 1;
+                self.run.stats.add_solver_delta(delta);
             }
             answers.into_iter().map(|(result, _)| result).collect()
         } else {
             let mut results = Vec::with_capacity(assumption_sets.len());
             for assumptions in &assumption_sets {
-                let result = Self::solve_on(
+                let result = solve(
                     &mut self.solvers[frame],
-                    &mut self.stats,
-                    &self.options.telemetry,
                     assumptions,
+                    &mut self.run.stats,
+                    &self.options.telemetry,
                 );
                 let done = result == SolveResult::Interrupted;
                 results.push(result);
@@ -917,8 +817,8 @@ impl<'a> Pdr<'a> {
         let mut outcomes = Vec::with_capacity(candidates.len());
         for ((core, delta, queried), candidate) in answers.into_iter().zip(candidates) {
             if queried {
-                self.stats.sat_calls += 1;
-                self.stats.add_solver_delta(delta);
+                self.run.stats.sat_calls += 1;
+                self.run.stats.add_solver_delta(delta);
             }
             outcomes.push(core.map(|core| {
                 let mut seed = self.cube_from_core1(&core);
@@ -935,7 +835,7 @@ impl<'a> Pdr<'a> {
     /// deterministic sequential replay after a contained worker panic.
     fn record_pool_reruns(&mut self, reruns: u64) {
         if reruns > 0 {
-            self.stats.pool_seq_reruns += reruns;
+            self.run.stats.pool_seq_reruns += reruns;
             self.options.telemetry.instant_args("degraded", || {
                 vec![("pool_seq_reruns", ArgValue::U64(reruns))]
             });
@@ -1100,42 +1000,26 @@ impl<'a> Pdr<'a> {
                 .collect(),
         )
     }
-
-    /// One counted query on `solver`, inside a `sat` span.
-    fn solve_on(
-        solver: &mut IncrementalSolver,
-        stats: &mut EngineStats,
-        telemetry: &Telemetry,
-        assumptions: &[Lit],
-    ) -> SolveResult {
-        let _sat = telemetry.span("sat");
-        let before = solver.stats();
-        let result = solver.solve(assumptions);
-        stats.sat_calls += 1;
-        stats.add_solver_delta(solver.stats() - before);
-        result
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use aig::builder::{latch_word, word_equals_const, word_increment, word_mux};
+    use aig::builder::word_equals_const;
     use std::time::Duration;
+    use workloads::counter::modular as modular_counter;
 
-    fn modular_counter(width: usize, modulus: u64, bad_at: u64) -> Aig {
-        let mut aig = Aig::new();
-        let (ids, bits) = latch_word(&mut aig, width, 0);
-        let wrap = word_equals_const(&mut aig, &bits, modulus - 1);
-        let inc = word_increment(&mut aig, &bits, aig::Lit::TRUE);
-        let zero = aig::builder::word_const(width, 0);
-        let next = word_mux(&mut aig, wrap, &zero, &inc);
-        for (id, n) in ids.iter().zip(next.iter()) {
-            aig.set_next(*id, *n);
-        }
-        let bad = word_equals_const(&mut aig, &bits, bad_at);
-        aig.add_bad(bad);
-        aig
+    fn verify(aig: &Aig, bad_index: usize, options: &Options) -> EngineResult {
+        verify_with_cancel(aig, bad_index, options, &CancelToken::new())
+    }
+
+    fn verify_with_cancel(
+        aig: &Aig,
+        bad_index: usize,
+        options: &Options,
+        cancel: &CancelToken,
+    ) -> EngineResult {
+        crate::Engine::Pdr.dispatch(aig, bad_index, options, cancel)
     }
 
     fn options() -> Options {
@@ -1402,7 +1286,6 @@ mod tests {
 
     #[test]
     fn cancellation_stops_the_run() {
-        use crate::engines::CancelToken;
         let aig = modular_counter(5, 28, 27);
         let cancel = CancelToken::new();
         cancel.cancel();

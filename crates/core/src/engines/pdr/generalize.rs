@@ -41,7 +41,7 @@ fn sequential_down(pdr: &mut Pdr<'_>, frame: usize, seed: Cube) -> Cube {
     let mut cube = seed;
     let mut index = 0;
     while index < cube.len() && cube.len() > 1 {
-        if pdr.stopped() {
+        if pdr.run.should_stop() {
             break;
         }
         let candidate = cube.without(index);
@@ -64,7 +64,7 @@ fn sequential_down(pdr: &mut Pdr<'_>, frame: usize, seed: Cube) -> Cube {
 fn parallel_down(pdr: &mut Pdr<'_>, frame: usize, seed: Cube) -> Cube {
     let mut cube = seed;
     while cube.len() > 1 {
-        if pdr.stopped() {
+        if pdr.run.should_stop() {
             break;
         }
         let candidates: Vec<Cube> = (0..cube.len()).map(|index| cube.without(index)).collect();
@@ -83,7 +83,7 @@ fn parallel_down(pdr: &mut Pdr<'_>, frame: usize, seed: Cube) -> Cube {
 fn try_block(pdr: &mut Pdr<'_>, frame: usize, cube: Cube) -> Option<Cube> {
     let mut ctgs = 0;
     loop {
-        if cube.is_empty() || cube.contains_state(&pdr.init) || pdr.stopped() {
+        if cube.is_empty() || cube.contains_state(&pdr.init) || pdr.run.should_stop() {
             return None;
         }
         match pdr.relative_induction(frame, &cube) {

@@ -60,14 +60,9 @@ use telemetry::ArgValue;
 pub const ENTRANTS: [Engine; 3] = [Engine::Pdr, Engine::ItpSeqCba, Engine::Bmc];
 
 /// Races the [`ENTRANTS`] on bad-state property `bad_index`; the first
-/// conclusive verdict wins and the losers are cancelled.
-pub fn verify(aig: &Aig, bad_index: usize, options: &Options) -> EngineResult {
-    verify_with_cancel(aig, bad_index, options, &CancelToken::new())
-}
-
-/// [`verify`] under an outer cancellation token; cancelling it cancels
-/// every entrant.
-pub fn verify_with_cancel(
+/// conclusive verdict wins and the losers are cancelled.  Cancelling the
+/// outer token `cancel` cancels every entrant.
+pub(crate) fn race(
     aig: &Aig,
     bad_index: usize,
     options: &Options,
@@ -274,21 +269,19 @@ pub fn verify_with_cancel(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use aig::builder::{latch_word, word_equals_const, word_increment, word_mux};
+    use workloads::counter::modular as modular_counter;
 
-    fn modular_counter(width: usize, modulus: u64, bad_at: u64) -> aig::Aig {
-        let mut aig = aig::Aig::new();
-        let (ids, bits) = latch_word(&mut aig, width, 0);
-        let wrap = word_equals_const(&mut aig, &bits, modulus - 1);
-        let inc = word_increment(&mut aig, &bits, aig::Lit::TRUE);
-        let zero = aig::builder::word_const(width, 0);
-        let next = word_mux(&mut aig, wrap, &zero, &inc);
-        for (id, n) in ids.iter().zip(next.iter()) {
-            aig.set_next(*id, *n);
-        }
-        let bad = word_equals_const(&mut aig, &bits, bad_at);
-        aig.add_bad(bad);
-        aig
+    fn verify(aig: &Aig, bad_index: usize, options: &Options) -> EngineResult {
+        verify_with_cancel(aig, bad_index, options, &CancelToken::new())
+    }
+
+    fn verify_with_cancel(
+        aig: &Aig,
+        bad_index: usize,
+        options: &Options,
+        cancel: &CancelToken,
+    ) -> EngineResult {
+        Engine::Portfolio.dispatch(aig, bad_index, options, cancel)
     }
 
     fn options() -> Options {

@@ -1,31 +1,51 @@
-//! Shared machinery of the interpolation-sequence engines.
+//! The interpolation-sequence engines: one outer loop, three engines.
 //!
-//! The three sequence-based engines of the paper (`ITPSEQ`, `SITPSEQ`,
-//! `ITPSEQCBA`) share one outer loop — Fig. 2 extended with the serial
-//! computation of Fig. 4 and the abstraction-refinement of Fig. 5.  This
-//! module implements that loop once, parameterised by:
+//! The three sequence-based engines of the paper share one outer loop —
+//! Fig. 2 extended with the serial computation of Fig. 4 and the
+//! abstraction-refinement of Fig. 5.  This module implements that loop
+//! once (`run`), parameterised by the configuration `SeqConfig` that
+//! each engine's dispatch picks:
 //!
-//! * the BMC check formulation (*exact-k* or *exact-assume-k*),
-//! * the serial fraction `αs` (0 = fully parallel, 1 = fully serial),
-//! * whether counterexample-based abstraction is enabled.
+//! * **ITPSEQ** (`ITPSEQVERIF`, Fig. 2, [`Engine::ItpSeq`](crate::Engine::ItpSeq)):
+//!   every element of the sequence is extracted from the single
+//!   refutation proof of the exact-k (or assume-k) bounded check; the
+//!   column conjunctions `ℐ_j` accumulate across bounds and are checked
+//!   for inclusion in the running reachability over-approximation.
+//! * **SITPSEQ** (Fig. 4, Definition 3,
+//!   [`Engine::SerialItpSeq`](crate::Engine::SerialItpSeq)): the first
+//!   `⌊αs · n⌋` elements of each sequence
+//!   ([`Options::alpha_serial`]) are computed serially — every `I_j` from
+//!   its own refutation of `I_{j-1} ∧ A_j ∧ ⋀_{i>j} A_i` — and the
+//!   remaining elements in parallel from one proof.  The cumulative
+//!   interpolation effect of the serial prefix tends to increase
+//!   abstraction and converge at smaller depths, at the price of extra SAT
+//!   calls.
+//! * **ITPSEQCBA** (`ITPSEQCBAVERIF`, Fig. 5,
+//!   [`Engine::ItpSeqCba`](crate::Engine::ItpSeqCba)): SITPSEQ on a
+//!   localization abstraction of the design, whose invisible latches are
+//!   free inputs.  At every bound, abstract counterexamples are checked on
+//!   the concrete design (`EXTEND`); spurious ones refine the abstraction
+//!   from the unsatisfiable assumption core (`REFINE`).  Once the abstract
+//!   bounded check is unsatisfiable, the serial interpolation sequence is
+//!   computed on the (smaller) abstract model, which yields smaller
+//!   refutation proofs and more aggressive over-approximation.
 //!
-//! The module is `pub(crate)` (rather than private) so that engine
-//! families outside `engines/` — a portfolio runner combining
-//! [`SeqConfig`]/[`run`] with [`crate::engines::pdr`], for instance —
-//! can drive this loop without re-deriving it.  The PDR subsystem itself
-//! keeps its own frame machinery (clause traces, not interpolant
-//! columns) and does not depend on this module.
+//! The BMC check formulation (*exact-k* or *exact-assume-k*) comes from
+//! [`Options::check`].  The PDR engine keeps its own frame machinery
+//! (clause traces, not interpolant columns) and does not depend on this
+//! module.
 
 use crate::abstraction::Abstraction;
 use crate::certificate::{Certificate, InvariantCert, InvariantCone};
-use crate::engines::check::{self, Check};
-use crate::engines::{CancelToken, EngineProbe, RunBudget};
+use crate::engines::check::Check;
+use crate::engines::run::{model_values, EngineRun};
+use crate::engines::CancelToken;
 use crate::state::{set_constraint, Interrupted, StateSpace};
-use crate::{EngineResult, EngineStats, Options, Verdict};
+use crate::{EngineResult, EngineStats, Options, StopReason, Verdict};
 use aig::Aig;
 use cnf::{BmcCheck, Clause, IncrementalUnroller, Unroller};
 use itp::InterpolationContext;
-use sat::{ProofView, SolveResult, Solver};
+use sat::{ProofView, SolveResult};
 use std::collections::HashMap;
 use std::time::Instant;
 use telemetry::{ArgValue, Telemetry};
@@ -106,7 +126,7 @@ struct SeqInstance<'a> {
 /// sees.  Tails are kept per `t`.
 ///
 /// The proof-logging SAT solver is deliberately *not* shared: every check
-/// is loaded into a fresh solver ([`check::solve`]), because the
+/// is loaded into a fresh solver ([`EngineRun::solve_check`]), because the
 /// interpolation queries need a refutation of exactly that instance's
 /// partition layout.
 struct CachedUnrolling {
@@ -323,7 +343,8 @@ fn build_instance(
 }
 
 /// Re-derives a replayable input trace for a bound-`bound` falsification
-/// of `model` on a throwaway scratch instance.
+/// of `model` (whose one property is bad-state 0) on a throwaway scratch
+/// instance.
 ///
 /// The cached unrolling cannot serve the trace directly: pinning input
 /// variables inside the cache would perturb its variable numbering, which
@@ -331,60 +352,37 @@ fn build_instance(
 /// formulation the target cone lives on a throwaway clone anyway).  One
 /// extra SAT call on the terminal path — the instance is known
 /// satisfiable — buys the model back without touching the cache.
-#[allow(clippy::too_many_arguments)]
 fn falsification_trace(
+    run: &mut EngineRun<'_>,
     model: &Aig,
-    bad_index: usize,
     bound: usize,
-    check: BmcCheck,
     num_inputs: usize,
-    reduce: Option<u64>,
-    stats: &mut EngineStats,
-    budget: &RunBudget,
-    telemetry: &Telemetry,
 ) -> Option<Vec<Vec<bool>>> {
-    let encode = telemetry.span("encode");
+    let check = run.options.check;
+    let encode = run.telemetry().span("encode");
     let encode_start = Instant::now();
     let mut unroller = Unroller::new(model);
     unroller.assert_initial(0);
     for f in 1..=bound {
         if check == BmcCheck::ExactAssume && f >= 2 {
-            let bad_prev = unroller.bad_lit(f - 1, bad_index);
+            let bad_prev = unroller.bad_lit(f - 1, 0);
             unroller.assert_lit(!bad_prev);
         }
         unroller.add_frame();
     }
-    let bad = unroller.bad_lit(bound, bad_index);
+    let bad = unroller.bad_lit(bound, 0);
     unroller.assert_lit(bad);
     let frame_inputs: Vec<Vec<cnf::Lit>> = (0..=bound)
         .map(|f| (0..num_inputs).map(|i| unroller.input_lit(f, i)).collect())
         .collect();
     let cnf = unroller.into_cnf();
-    let mut solver = Solver::new();
-    solver.set_proof_logging(false);
-    solver.set_reduce_interval(reduce);
-    budget.govern(&mut solver);
-    solver.add_cnf(&cnf);
-    stats.sat_calls += 1;
-    stats.clauses_encoded += cnf.clauses.len() as u64;
-    stats.encode_time += encode_start.elapsed();
+    run.stats.encode_time += encode_start.elapsed();
     encode.end();
-    let result = solver.solve();
-    stats.add_solver_delta(solver.stats());
-    if result != SolveResult::Sat {
-        return None;
-    }
-    Some(
-        frame_inputs
-            .iter()
-            .map(|frame| {
-                frame
-                    .iter()
-                    .map(|&lit| solver.lit_value(lit).unwrap_or(false))
-                    .collect()
-            })
-            .collect(),
-    )
+    let (result, solver) = run.solve_check(&Check::of(&cnf), false, &[]);
+    (result == SolveResult::Sat).then(|| {
+        let frames = frame_inputs.iter();
+        frames.map(|frame| model_values(&solver, frame)).collect()
+    })
 }
 
 /// Extracts the interpolants at the given sub-instance cuts from a
@@ -418,65 +416,53 @@ fn extract_interpolants(
     Ok(itps)
 }
 
-/// The shared state of one bound's interpolation-sequence computation.
-struct SequenceRun<'r> {
-    reduce: Option<u64>,
-    probe: &'r EngineProbe,
-    budget: &'r RunBudget,
-    telemetry: &'r Telemetry,
+/// The latch correspondence between the current (abstract) model and the
+/// design, both ways.
+struct LatchMaps<'r> {
     model_to_concrete: &'r [usize],
     concrete_to_model: &'r [usize],
 }
 
-impl SequenceRun<'_> {
-    /// Refutes the instance with `transitions` steps from `set` (the
-    /// model's `Set` cache supplies everything but the set) and returns
-    /// the interpolants at `cuts` of its refutation.
-    #[allow(clippy::too_many_arguments)]
-    fn interpolate_from(
-        &self,
-        template: &mut CachedUnrolling,
-        set: aig::Lit,
-        transitions: usize,
-        cuts: &[u32],
-        what: &str,
-        space: &mut StateSpace,
-        stats: &mut EngineStats,
-    ) -> Result<Vec<aig::Lit>, crate::types::StopReason> {
-        use crate::types::StopReason;
-        let (instance_latches, (result, solver)) = {
-            let set = Some((&*space, set, self.concrete_to_model));
-            let instance = template.instance(transitions, set, stats, self.telemetry);
-            let solved = check::solve(
-                &instance.check,
-                stats,
-                self.budget,
-                self.reduce,
-                self.probe,
-                self.telemetry,
-            );
-            (instance.frame_latches, solved)
-        };
-        match result {
-            SolveResult::Unsat => {}
-            SolveResult::Sat => {
-                return Err(StopReason::other(format!(
-                    "{what} was unexpectedly satisfiable"
-                )));
-            }
-            SolveResult::Interrupted => return Err(self.budget.interrupt_reason()),
+/// Refutes the instance with `transitions` steps from `set` (the model's
+/// `Set` cache `template` supplies everything but the set) and returns
+/// the interpolants at `cuts` of its refutation.
+#[allow(clippy::too_many_arguments)]
+fn interpolate_from(
+    run: &mut EngineRun<'_>,
+    maps: &LatchMaps<'_>,
+    template: &mut CachedUnrolling,
+    set: aig::Lit,
+    transitions: usize,
+    cuts: &[u32],
+    what: &str,
+    space: &mut StateSpace,
+) -> Result<Vec<aig::Lit>, StopReason> {
+    let telemetry = run.telemetry();
+    let (instance_latches, (result, solver)) = {
+        let set = Some((&*space, set, maps.concrete_to_model));
+        let instance = template.instance(transitions, set, &mut run.stats, telemetry);
+        let solved = run.solve_check(&instance.check, true, &[]);
+        (instance.frame_latches, solved)
+    };
+    match result {
+        SolveResult::Unsat => {}
+        SolveResult::Sat => {
+            return Err(StopReason::other(format!(
+                "{what} was unexpectedly satisfiable"
+            )));
         }
-        let proof = solver.proof_view().expect("unsat result has a proof");
-        extract_interpolants(
-            proof,
-            &instance_latches,
-            cuts,
-            space,
-            self.model_to_concrete,
-            stats,
-        )
-        .map_err(StopReason::other)
+        SolveResult::Interrupted => return Err(run.stop_reason()),
     }
+    let proof = solver.proof_view().expect("unsat result has a proof");
+    extract_interpolants(
+        proof,
+        &instance_latches,
+        cuts,
+        space,
+        maps.model_to_concrete,
+        &mut run.stats,
+    )
+    .map_err(StopReason::other)
 }
 
 /// Computes the interpolation sequence `I_1 … I_k` for bound `k`, given the
@@ -486,38 +472,35 @@ impl SequenceRun<'_> {
 /// `Set` cache `template`.
 #[allow(clippy::too_many_arguments)]
 fn compute_sequence(
-    run: &SequenceRun<'_>,
+    run: &mut EngineRun<'_>,
+    maps: &LatchMaps<'_>,
     template: &mut CachedUnrolling,
     bound: usize,
     alpha_serial: f64,
     space: &mut StateSpace,
     full_latches: &[Vec<cnf::Lit>],
     full_proof: ProofView<'_>,
-    stats: &mut EngineStats,
-) -> Result<Vec<aig::Lit>, crate::types::StopReason> {
-    use crate::types::StopReason;
+) -> Result<Vec<aig::Lit>, StopReason> {
     let n = bound + 1;
     let serial = ((alpha_serial * n as f64).floor() as usize).min(bound);
     let mut sequence: Vec<aig::Lit> = Vec::with_capacity(bound);
+    let from_full = |cuts: &[u32], space: &mut StateSpace, stats: &mut EngineStats| {
+        let to_concrete = maps.model_to_concrete;
+        extract_interpolants(full_proof, full_latches, cuts, space, to_concrete, stats)
+            .map_err(StopReason::other)
+    };
 
     // Serial part: I_j = ITP(I_{j-1} ∧ A_j, ⋀_{i>j} A_i), each from its own
     // refutation.  The first step reuses the proof of the full instance
     // (its A side is exactly S0 ∧ A_1).
     for j in 1..=serial {
         let itp = if j == 1 {
-            extract_interpolants(
-                full_proof,
-                full_latches,
-                &[2],
-                space,
-                run.model_to_concrete,
-                stats,
-            )
-            .map_err(StopReason::other)?
+            from_full(&[2], space, &mut run.stats)?
         } else {
             let prev = sequence[j - 2];
             let what = format!("serial interpolation step {j}");
-            run.interpolate_from(template, prev, bound - j + 1, &[2], &what, space, stats)?
+            let t = bound - j + 1;
+            interpolate_from(run, maps, template, prev, t, &[2], &what, space)?
         };
         sequence.push(itp[0]);
     }
@@ -528,26 +511,20 @@ fn compute_sequence(
             // Plain interpolation sequence: every element from the proof of
             // the full instance.
             let cuts: Vec<u32> = (2..=(bound + 1) as u32).collect();
-            extract_interpolants(
-                full_proof,
-                full_latches,
-                &cuts,
-                space,
-                run.model_to_concrete,
-                stats,
-            )
-            .map_err(StopReason::other)?
+            from_full(&cuts, space, &mut run.stats)?
         } else {
             let prev = sequence[serial - 1];
             let cuts: Vec<u32> = (2..=(bound - serial + 1) as u32).collect();
-            run.interpolate_from(
+            let what = "parallel remainder of the serial sequence";
+            interpolate_from(
+                run,
+                maps,
                 template,
                 prev,
                 bound - serial,
                 &cuts,
-                "parallel remainder of the serial sequence",
+                what,
                 space,
-                stats,
             )?
         };
         sequence.extend(itps);
@@ -570,20 +547,17 @@ enum ExtendOutcome {
 /// Checks an abstract counterexample against the concrete design
 /// (Fig. 5's `EXTEND`) and refines the abstraction from the unsatisfiable
 /// assumption core when it is spurious (`REFINE`).
-#[allow(clippy::too_many_arguments)]
 fn extend_or_refine(
+    run: &mut EngineRun<'_>,
     design: &Aig,
     bad_index: usize,
     bound: usize,
     abstraction: &mut Abstraction,
-    check: BmcCheck,
-    reduce: Option<u64>,
-    record_trace: bool,
-    stats: &mut EngineStats,
-    budget: &RunBudget,
-    telemetry: &Telemetry,
 ) -> ExtendOutcome {
-    let _extend = telemetry.span_args("extend", || vec![("k", ArgValue::U64(bound as u64))]);
+    let (check, record_trace) = (run.options.check, run.options.certificates);
+    let _extend = run
+        .telemetry()
+        .span_args("extend", || vec![("k", ArgValue::U64(bound as u64))]);
     let encode_start = Instant::now();
     let mut unroller = Unroller::new(design);
     let mut guards: Vec<Option<cnf::Lit>> = vec![None; design.num_latches()];
@@ -621,31 +595,16 @@ fn extend_or_refine(
     };
 
     let cnf = unroller.into_cnf();
-    let mut solver = Solver::new();
-    // This query only reads the assumption core on Unsat, never a proof —
-    // skip chain recording so DB reduction stays unrestricted.
-    solver.set_proof_logging(false);
-    solver.set_reduce_interval(reduce);
-    budget.govern(&mut solver);
-    solver.add_cnf(&cnf);
-    stats.sat_calls += 1;
-    stats.clauses_encoded += cnf.clauses.len() as u64;
-    stats.encode_time += encode_start.elapsed();
+    run.stats.encode_time += encode_start.elapsed();
     let assumptions: Vec<cnf::Lit> = activation.iter().map(|&(a, _)| a).collect();
-    let result = solver.solve_with_assumptions(&assumptions);
-    stats.add_solver_delta(solver.stats());
+    // This query only reads the assumption core on Unsat, never a proof —
+    // no chain recording, so DB reduction stays unrestricted.
+    let (result, solver) = run.solve_check(&Check::of(&cnf), false, &assumptions);
     match result {
         SolveResult::Sat => {
             let trace = record_trace.then(|| {
-                frame_inputs
-                    .iter()
-                    .map(|frame| {
-                        frame
-                            .iter()
-                            .map(|&lit| solver.lit_value(lit).unwrap_or(false))
-                            .collect()
-                    })
-                    .collect()
+                let frames = frame_inputs.iter();
+                frames.map(|frame| model_values(&solver, frame)).collect()
             });
             ExtendOutcome::ConcreteCounterexample(trace)
         }
@@ -692,7 +651,8 @@ fn find_fixpoint(
     Ok(None)
 }
 
-/// The shared outer loop of the sequence-based engines.
+/// The shared outer loop of the sequence-based engines: runs the engine
+/// `config` configures on bad-state property `bad_index`.
 pub(crate) fn run(
     design: &Aig,
     bad_index: usize,
@@ -700,35 +660,16 @@ pub(crate) fn run(
     config: SeqConfig,
     cancel: &CancelToken,
 ) -> EngineResult {
-    let start = Instant::now();
-    let budget = RunBudget::arm(cancel, start, options);
-    let stop_reason = || budget.stop_reason();
-    let telemetry = &options.telemetry;
-    let run_label = format!("{}.run", config.name);
-    let _run = telemetry.span_args(&run_label, || {
-        vec![
-            ("latches", ArgValue::U64(design.num_latches() as u64)),
-            ("cba", ArgValue::U64(u64::from(config.use_cba))),
-        ]
-    });
-    let mut stats = EngineStats::default();
-    let probe = EngineProbe::new(telemetry, options.probe_interval);
-    let mut space = StateSpace::new(design.num_latches(), &budget, options);
+    let span = format!("{}.run", config.name);
+    let cba = u64::from(config.use_cba);
+    let (mut run, _span) = EngineRun::new(&span, design, &[("cba", cba)], options, cancel);
+    let telemetry = run.telemetry();
+    let mut space = StateSpace::new(design.num_latches(), &run);
     // `ℐ_j` column conjunctions, persisted across bounds (1-based index j).
     let mut columns: Vec<aig::Lit> = Vec::new();
 
-    if let Some((verdict, certificate)) =
-        crate::engines::bmc::depth0_verdict(design, bad_index, &budget, &mut stats, options)
-    {
-        telemetry.instant_args("verdict", || {
-            vec![("verdict", ArgValue::Str(verdict.to_string()))]
-        });
-        stats.time = start.elapsed();
-        return EngineResult {
-            verdict,
-            stats,
-            certificate,
-        };
+    if let Some((verdict, certificate)) = run.depth0(design, bad_index) {
+        return run.finish(verdict, certificate);
     }
 
     let mut abstraction = if config.use_cba {
@@ -736,7 +677,7 @@ pub(crate) fn run(
     } else {
         Abstraction::full(design)
     };
-    stats.visible_latches = abstraction.num_visible();
+    run.stats.visible_latches = abstraction.num_visible();
     let mut current = abstraction.abstract_model(design, bad_index);
     // The unrolling caches of the current model (reset-state and
     // state-set); dropped on refinement (the abstract model — and with it
@@ -744,35 +685,12 @@ pub(crate) fn run(
     let mut cache: Option<CachedUnrolling> = None;
     let mut set_cache: Option<CachedUnrolling> = None;
 
-    let finish = |mut stats: EngineStats,
-                  verdict: Verdict,
-                  certificate: Option<Certificate>,
-                  start: Instant| {
-        telemetry.instant_args("verdict", || {
-            vec![("verdict", ArgValue::Str(verdict.to_string()))]
-        });
-        stats.time = start.elapsed();
-        EngineResult {
-            verdict,
-            stats,
-            certificate,
-        }
-    };
-
     for k in 1..=options.max_bound {
-        if let Some(reason) = stop_reason() {
-            return finish(
-                stats,
-                Verdict::Inconclusive {
-                    reason,
-                    bound_reached: k - 1,
-                },
-                None,
-                start,
-            );
+        if run.should_stop() {
+            return run.give_up(k - 1);
         }
         let _bound = telemetry.span_args("bound", || vec![("k", ArgValue::U64(k as u64))]);
-        probe.set_bound(k);
+        run.set_bound(k);
 
         // Bounded check at bound k (on the abstract model when CBA is on),
         // interleaved with abstraction refinement.  The reset-state
@@ -786,28 +704,11 @@ pub(crate) fn run(
             let cached = cache.get_or_insert_with(|| {
                 CachedUnrolling::new(model, 0, options.check, InitKind::Reset)
             });
-            let instance = cached.instance(k, None, &mut stats, telemetry);
-            let (result, solver) = check::solve(
-                &instance.check,
-                &mut stats,
-                &budget,
-                options.reduce_interval(),
-                &probe,
-                telemetry,
-            );
+            let instance = cached.instance(k, None, &mut run.stats, telemetry);
+            let (result, solver) = run.solve_check(&instance.check, true, &[]);
             match result {
                 SolveResult::Unsat => break (instance.frame_latches, solver),
-                SolveResult::Interrupted => {
-                    return finish(
-                        stats,
-                        Verdict::Inconclusive {
-                            reason: budget.interrupt_reason(),
-                            bound_reached: k - 1,
-                        },
-                        None,
-                        start,
-                    );
-                }
+                SolveResult::Interrupted => return run.give_up(k - 1),
                 SolveResult::Sat => {
                     drop(solver);
                     if !config.use_cba || abstraction.is_complete(design) {
@@ -816,53 +717,20 @@ pub(crate) fn run(
                         // and its inputs then coincide with the design's.
                         let cert = options
                             .certificates
-                            .then(|| {
-                                falsification_trace(
-                                    model,
-                                    0,
-                                    k,
-                                    options.check,
-                                    design.num_inputs(),
-                                    options.reduce_interval(),
-                                    &mut stats,
-                                    &budget,
-                                    telemetry,
-                                )
-                            })
+                            .then(|| falsification_trace(&mut run, model, k, design.num_inputs()))
                             .flatten()
                             .map(Certificate::Trace);
-                        return finish(stats, Verdict::Falsified { depth: k }, cert, start);
+                        return run.finish(Verdict::Falsified { depth: k }, cert);
                     }
-                    match extend_or_refine(
-                        design,
-                        bad_index,
-                        k,
-                        &mut abstraction,
-                        options.check,
-                        options.reduce_interval(),
-                        options.certificates,
-                        &mut stats,
-                        &budget,
-                        telemetry,
-                    ) {
+                    match extend_or_refine(&mut run, design, bad_index, k, &mut abstraction) {
                         ExtendOutcome::ConcreteCounterexample(trace) => {
                             let cert = trace.map(Certificate::Trace);
-                            return finish(stats, Verdict::Falsified { depth: k }, cert, start);
+                            return run.finish(Verdict::Falsified { depth: k }, cert);
                         }
-                        ExtendOutcome::Cancelled => {
-                            return finish(
-                                stats,
-                                Verdict::Inconclusive {
-                                    reason: budget.interrupt_reason(),
-                                    bound_reached: k - 1,
-                                },
-                                None,
-                                start,
-                            );
-                        }
+                        ExtendOutcome::Cancelled => return run.give_up(k - 1),
                         ExtendOutcome::Refined => {
-                            stats.refinements += 1;
-                            stats.visible_latches = abstraction.num_visible();
+                            run.stats.refinements += 1;
+                            run.stats.visible_latches = abstraction.num_visible();
                             telemetry.instant_args("refine", || {
                                 vec![
                                     ("k", ArgValue::U64(k as u64)),
@@ -879,16 +747,8 @@ pub(crate) fn run(
                     }
                 }
             }
-            if let Some(reason) = stop_reason() {
-                return finish(
-                    stats,
-                    Verdict::Inconclusive {
-                        reason,
-                        bound_reached: k,
-                    },
-                    None,
-                    start,
-                );
+            if run.should_stop() {
+                return run.give_up(k);
             }
         };
 
@@ -900,11 +760,7 @@ pub(crate) fn run(
         }
         let interpolate =
             telemetry.span_args("interpolate", || vec![("k", ArgValue::U64(k as u64))]);
-        let run = SequenceRun {
-            reduce: options.reduce_interval(),
-            probe: &probe,
-            budget: &budget,
-            telemetry,
+        let maps = LatchMaps {
             model_to_concrete,
             concrete_to_model: &concrete_to_model,
         };
@@ -912,26 +768,22 @@ pub(crate) fn run(
             .get_or_insert_with(|| CachedUnrolling::new(model, 0, options.check, InitKind::Set));
         let full_proof = solver.proof_view().expect("unsat result has a proof");
         let sequence = match compute_sequence(
-            &run,
+            &mut run,
+            &maps,
             set_cache,
             k,
             config.alpha_serial,
             &mut space,
             &frame_latches,
             full_proof,
-            &mut stats,
         ) {
             Ok(sequence) => sequence,
             Err(reason) => {
-                return finish(
-                    stats,
-                    Verdict::Inconclusive {
-                        reason,
-                        bound_reached: k,
-                    },
-                    None,
-                    start,
-                );
+                let verdict = Verdict::Inconclusive {
+                    reason,
+                    bound_reached: k,
+                };
+                return run.finish(verdict, None);
             }
         };
         drop(solver);
@@ -946,7 +798,7 @@ pub(crate) fn run(
             })
             .collect();
         let r0 = space.manager_mut().and_many(initial_lits);
-        match find_fixpoint(&mut space, &mut columns, &sequence, r0, &mut stats) {
+        match find_fixpoint(&mut space, &mut columns, &sequence, r0, &mut run.stats) {
             Ok(None) => {}
             Ok(Some((j, reached))) => {
                 // `reached = R0 ∨ ℐ_1 ∨ … ∨ ℐ_{j-1}` is an inductive
@@ -971,52 +823,27 @@ pub(crate) fn run(
                         )),
                     })
                 });
-                return finish(stats, Verdict::Proved { k_fp: k, j_fp: j }, cert, start);
+                return run.finish(Verdict::Proved { k_fp: k, j_fp: j }, cert);
             }
-            Err(Interrupted) => {
-                return finish(
-                    stats,
-                    Verdict::Inconclusive {
-                        reason: budget.interrupt_reason(),
-                        bound_reached: k,
-                    },
-                    None,
-                    start,
-                );
-            }
+            Err(Interrupted) => return run.give_up(k),
         }
     }
 
-    finish(
-        stats,
+    run.finish(
         Verdict::Inconclusive {
-            reason: crate::types::StopReason::BoundExhausted,
+            reason: StopReason::BoundExhausted,
             bound_reached: options.max_bound,
         },
         None,
-        start,
     )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use aig::builder::{latch_word, word_equals_const, word_increment, word_mux};
-
-    fn modular_counter(width: usize, modulus: u64, bad_at: u64) -> Aig {
-        let mut aig = Aig::new();
-        let (ids, bits) = latch_word(&mut aig, width, 0);
-        let wrap = word_equals_const(&mut aig, &bits, modulus - 1);
-        let inc = word_increment(&mut aig, &bits, aig::Lit::TRUE);
-        let zero = aig::builder::word_const(width, 0);
-        let next = word_mux(&mut aig, wrap, &zero, &inc);
-        for (id, n) in ids.iter().zip(next.iter()) {
-            aig.set_next(*id, *n);
-        }
-        let bad = word_equals_const(&mut aig, &bits, bad_at);
-        aig.add_bad(bad);
-        aig
-    }
+    use crate::Engine;
+    use aig::builder::{latch_word, word_equals_const, word_increment};
+    use workloads::counter::modular as modular_counter;
 
     fn gated_counter(width: usize) -> Aig {
         let mut aig = Aig::new();
@@ -1038,23 +865,20 @@ mod tests {
     fn interrupted_containment_finds_no_fixpoint() {
         let options = Options::default();
         let find = |cancel: &CancelToken| {
-            let budget = RunBudget::arm(cancel, Instant::now(), &options);
-            let mut space = StateSpace::new(3, &budget, &options);
+            let (run, _span) = EngineRun::new("ITPSEQ.run", &Aig::new(), &[], &options, cancel);
+            let mut space = StateSpace::new(3, &run);
             let (a, b, c) = (space.latch(0), space.latch(1), space.latch(2));
             let r0 = space.and(!a, !b);
             // ℐ_1 ⊆ R_0, so j = 1 is a fixpoint.
             let itp = space.and(r0, !c);
             let mut stats = EngineStats::default();
             let found = find_fixpoint(&mut space, &mut Vec::new(), &[itp], r0, &mut stats);
-            (found.map(|f| f.map(|(j, _)| j)), budget.interrupt_reason())
+            (found.map(|f| f.map(|(j, _)| j)), run.stop_reason())
         };
         assert_eq!(find(&CancelToken::new()).0, Ok(Some(1)));
         let cancelled = CancelToken::new();
         cancelled.cancel();
-        assert_eq!(
-            find(&cancelled),
-            (Err(Interrupted), crate::types::StopReason::Cancelled)
-        );
+        assert_eq!(find(&cancelled), (Err(Interrupted), StopReason::Cancelled));
     }
 
     /// Raises a shared memory budget past its limit when the first
@@ -1079,7 +903,9 @@ mod tests {
     #[test]
     fn containment_queries_are_memory_governed() {
         let design = modular_counter(3, 6, 7);
-        let clean = crate::engines::itpseq::verify(&design, 0, &Options::default());
+        let verify =
+            |options: &Options| Engine::ItpSeq.dispatch(&design, 0, options, &CancelToken::new());
+        let clean = verify(&Options::default());
         assert!(clean.verdict.is_proved(), "{}", clean.verdict);
         assert!(clean.stats.containment_calls > 0);
 
@@ -1089,12 +915,12 @@ mod tests {
             registered: std::sync::Mutex::new(0),
         };
         let options = options.with_telemetry(telemetry::Telemetry::new(std::sync::Arc::new(sink)));
-        let stopped = crate::engines::itpseq::verify(&design, 0, &options);
+        let stopped = verify(&options);
         assert!(
             matches!(
                 stopped.verdict,
                 Verdict::Inconclusive {
-                    reason: crate::types::StopReason::MemLimit,
+                    reason: StopReason::MemLimit,
                     ..
                 }
             ),
@@ -1176,12 +1002,13 @@ mod tests {
         );
         let telemetry = Telemetry::off();
         let options = Options::default();
-        let budget = RunBudget::arm(&CancelToken::new(), Instant::now(), &options);
         for check in [BmcCheck::Exact, BmcCheck::ExactAssume] {
             for (index, design) in designs.iter().enumerate() {
+                let (run, _span) =
+                    EngineRun::new("SITPSEQ.run", design, &[], &options, &CancelToken::new());
                 let n = design.num_latches();
                 let identity: Vec<usize> = (0..n).collect();
-                let mut space = StateSpace::new(n, &budget, &options);
+                let mut space = StateSpace::new(n, &run);
                 let sets = random_sets(&mut space, 0x9e37_79b9 + index as u64, 40);
                 let mut stats = EngineStats::default();
                 let mut cache = CachedUnrolling::new(design, 0, check, InitKind::Set);

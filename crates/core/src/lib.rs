@@ -9,13 +9,12 @@
 //!   *exact-k* and *exact-assume-k* formulations (Section II-A / III),
 //! * [`engines::itp`] — McMillan-style standard interpolation
 //!   (`ITPVERIF`, Fig. 1),
-//! * [`engines::itpseq`] — parallel interpolation sequences
-//!   (`ITPSEQVERIF`, Fig. 2),
-//! * [`engines::sitpseq`] — serial interpolation sequences
-//!   (`SITPSEQ`, Fig. 4, Definition 3),
-//! * [`engines::itpseq_cba`] — serial interpolation sequences tightly
-//!   integrated with counterexample-based abstraction
-//!   (`ITPSEQCBAVERIF`, Fig. 5),
+//! * [`engines::seq`] — the interpolation-sequence engines, one loop
+//!   under three configurations: parallel interpolation sequences
+//!   (`ITPSEQVERIF`, Fig. 2), serial interpolation sequences (`SITPSEQ`,
+//!   Fig. 4, Definition 3) and serial interpolation sequences tightly
+//!   integrated with counterexample-based abstraction (`ITPSEQCBAVERIF`,
+//!   Fig. 5),
 //! * [`engines::pdr`] — IC3/property-directed reachability, the
 //!   post-2011 competitor every modern checker ships, included for
 //!   head-to-head comparisons against the paper's engines,
@@ -34,12 +33,14 @@
 //! (for PDR, `k_fp` is the convergence level and `j_fp` the frame at
 //! which the trace reached its fixpoint).
 //!
-//! Every engine also exposes a `verify_with_cancel` entry point taking a
-//! [`CancelToken`]; with [`Options::threads`] above 1, PDR additionally
-//! parallelizes its per-frame propagation queries and generalization
-//! candidates across worker threads without changing verdict kinds or
-//! counterexample depths (see [`engines::pdr`] for the precise
-//! determinism contract).
+//! [`Engine`] is the whole entry API: [`Engine::verify`] and
+//! [`Engine::verify_with_cancel`] (which takes a [`CancelToken`]) for one
+//! property, [`Engine::verify_all`] and [`Engine::verify_all_with_cancel`]
+//! for every property of a design.  With [`Options::threads`] above 1,
+//! PDR additionally parallelizes its per-frame propagation queries and
+//! generalization candidates across worker threads without changing
+//! verdict kinds or counterexample depths (see [`engines::pdr`] for the
+//! precise determinism contract).
 //!
 //! # Example
 //!
@@ -64,6 +65,8 @@
 //! assert!(matches!(result.verdict, Verdict::Proved { .. }));
 //! ```
 
+#![cfg_attr(test, allow(clippy::disallowed_methods))]
+
 pub mod abstraction;
 pub mod certificate;
 pub mod engines;
@@ -73,7 +76,7 @@ pub mod state;
 mod types;
 
 pub use certificate::{CertRecord, Certificate, InvariantCert, InvariantCone};
-pub use engines::{bmc, itp, itpseq, itpseq_cba, pdr, portfolio, sitpseq, CancelToken};
+pub use engines::CancelToken;
 pub use multi::verify_all;
 pub use pipeline::{prepare, prepare_property, Prepared};
 pub use sat::{FaultKind, FaultPlan, FaultSite, MemoryBudget};

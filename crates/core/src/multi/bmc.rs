@@ -30,10 +30,15 @@
 //! trace off the model; the solver, learned clauses and all, keeps
 //! serving the survivors.  Retired properties stop having their bad
 //! cones encoded at later frames.
+//!
+//! This is the workspace's one BMC loop (`check`): single-property
+//! [`Engine::Bmc`](crate::Engine::Bmc) runs it over one property (see
+//! [`crate::engines::bmc`]).
 
-use crate::engines::{CancelToken, EngineProbe, RunBudget};
+use crate::engines::run::{solve, EngineRun};
+use crate::engines::CancelToken;
 use crate::multi::{RetireBoard, StatusSlots};
-use crate::{EngineStats, MultiResult, Options, PropertyStatus};
+use crate::{MultiResult, Options, PropertyStatus, StopReason};
 use aig::Aig;
 use cnf::{BmcCheck, IncrementalUnroller, Lit};
 use sat::{IncrementalSolver, SolveResult};
@@ -41,7 +46,8 @@ use std::time::Instant;
 use telemetry::ArgValue;
 
 /// Verifies the bad-state properties `props` of `aig` in one amortized
-/// BMC run; `statuses[i]` reports on property `props[i]`.
+/// BMC run (a `BMC.multi` span); `statuses[i]` reports on property
+/// `props[i]`.
 ///
 /// With a [`RetireBoard`], conclusive statuses are published there and
 /// properties the *other* backend already decided are dropped from the
@@ -55,7 +61,37 @@ pub(crate) fn verify_all_with_cancel(
     cancel: &CancelToken,
     board: Option<&RetireBoard>,
 ) -> MultiResult {
-    MultiBmc::new(aig, props, options, board).run(cancel)
+    let props_arg = [("props", props.len() as u64)];
+    let (mut run, _span) = EngineRun::new("BMC.multi", aig, &props_arg, options, cancel);
+    let statuses = check(&mut run, aig, props, board);
+    run.finish_all(statuses)
+}
+
+/// The BMC loop: decides the properties `props` of `aig` within `run`,
+/// which counts the work.  `statuses[i]` reports on property `props[i]`;
+/// falsified statuses carry their input trace when
+/// [`Options::certificates`] is on.
+pub(crate) fn check(
+    run: &mut EngineRun<'_>,
+    aig: &Aig,
+    props: &[usize],
+    board: Option<&RetireBoard>,
+) -> Vec<PropertyStatus> {
+    let telemetry = run.telemetry().clone();
+    MultiBmc {
+        slots: props
+            .iter()
+            .map(|&property| Slot {
+                property,
+                bads: Vec::new(),
+                bound_target: None,
+            })
+            .collect(),
+        statuses: StatusSlots::new(props.len(), board, telemetry),
+        run,
+        aig,
+    }
+    .run()
 }
 
 /// One slot of the per-property encoding bookkeeping (the status side
@@ -70,48 +106,16 @@ struct Slot {
     bound_target: Option<Lit>,
 }
 
-struct MultiBmc<'a> {
-    aig: &'a Aig,
-    options: &'a Options,
-    start: Instant,
-    stats: EngineStats,
+struct MultiBmc<'r, 'a> {
+    run: &'r mut EngineRun<'a>,
+    aig: &'r Aig,
     slots: Vec<Slot>,
-    statuses: StatusSlots<'a>,
+    statuses: StatusSlots<'r>,
 }
 
-impl<'a> MultiBmc<'a> {
-    fn new(
-        aig: &'a Aig,
-        props: &'a [usize],
-        options: &'a Options,
-        board: Option<&'a RetireBoard>,
-    ) -> MultiBmc<'a> {
-        MultiBmc {
-            aig,
-            options,
-            start: Instant::now(),
-            stats: EngineStats {
-                visible_latches: aig.num_latches(),
-                ..EngineStats::default()
-            },
-            slots: props
-                .iter()
-                .map(|&property| Slot {
-                    property,
-                    bads: Vec::new(),
-                    bound_target: None,
-                })
-                .collect(),
-            statuses: StatusSlots::new(props.len(), board, options.telemetry.clone()),
-        }
-    }
-
-    fn finish(mut self) -> MultiResult {
-        self.stats.time = self.start.elapsed();
-        MultiResult {
-            statuses: self.statuses.into_statuses(),
-            stats: self.stats,
-        }
+impl MultiBmc<'_, '_> {
+    fn finish(self) -> Vec<PropertyStatus> {
+        self.statuses.into_statuses()
     }
 
     /// Loads the unroller's pending delta clauses into the solver.
@@ -119,18 +123,38 @@ impl<'a> MultiBmc<'a> {
         for clause in unroller.pending_clauses() {
             solver.add_clause(clause.lits.iter().copied());
         }
-        self.stats.clauses_encoded += unroller.pending_clauses().len() as u64;
+        self.run.stats.clauses_encoded += unroller.pending_clauses().len() as u64;
         unroller.mark_drained();
     }
 
-    /// One counted query on the shared solver, inside a `sat` span.
-    fn solve(&mut self, solver: &mut IncrementalSolver, assumptions: &[Lit]) -> SolveResult {
-        let _sat = self.options.telemetry.span("sat");
-        let before = solver.stats();
-        let result = solver.solve(assumptions);
-        self.stats.sat_calls += 1;
-        self.stats.add_solver_delta(solver.stats() - before);
-        result
+    /// Decides slot `i` at `depth` from `result`; `false` means the run
+    /// was interrupted and every undecided slot has given up.
+    fn record(
+        &mut self,
+        i: usize,
+        depth: usize,
+        result: SolveResult,
+        unroller: &mut IncrementalUnroller,
+        solver: &IncrementalSolver,
+    ) -> bool {
+        match result {
+            SolveResult::Sat => {
+                let cex = self
+                    .run
+                    .options
+                    .certificates
+                    .then(|| self.extract_cex(unroller, solver, depth));
+                self.statuses
+                    .decide(i, PropertyStatus::Falsified { depth, cex });
+                true
+            }
+            SolveResult::Unsat => true,
+            SolveResult::Interrupted => {
+                let bound_reached = depth.saturating_sub(1);
+                self.statuses.give_up(self.run.stop_reason(), bound_reached);
+                false
+            }
+        }
     }
 
     /// Reads the violating input trace (cycles `0..=depth`) off the
@@ -158,74 +182,47 @@ impl<'a> MultiBmc<'a> {
             .collect()
     }
 
-    fn run(mut self, cancel: &CancelToken) -> MultiResult {
-        let telemetry = self.options.telemetry.clone();
-        let _run = telemetry.span_args("BMC.multi", || {
-            vec![
-                ("props", ArgValue::U64(self.slots.len() as u64)),
-                ("latches", ArgValue::U64(self.aig.num_latches() as u64)),
-            ]
-        });
-        let budget = RunBudget::arm(cancel, self.start, self.options);
+    fn run(mut self) -> Vec<PropertyStatus> {
         if self.slots.is_empty() {
             return self.finish();
         }
+        let options = self.run.options;
+        let telemetry = &options.telemetry;
 
         let encode_start = Instant::now();
         let mut unroller = IncrementalUnroller::new(self.aig);
         unroller.assert_initial(0);
-        let mut solver = IncrementalSolver::new();
-        // All variables are unroller-allocated; recycling would only
-        // record a dead replay copy of the whole unrolling.
-        solver.set_recycle_threshold(0);
-        solver.set_reduce_interval(self.options.reduce_interval());
-        budget.govern_incremental(&mut solver);
-        let probe = EngineProbe::new(&telemetry, self.options.probe_interval);
-        solver.set_progress_probe(probe.probe());
+        let mut solver = self.run.incremental();
         let frame0 = unroller.bad_lits(0, self.slots.iter().map(|slot| slot.property));
         for (slot, bad) in self.slots.iter_mut().zip(frame0) {
             slot.bads.push(bad);
         }
-        self.stats.encode_time += encode_start.elapsed();
+        self.run.stats.encode_time += encode_start.elapsed();
         self.drain(&mut unroller, &mut solver);
 
         // Depth 0: the initial states themselves, one assumption per
-        // property — same answers as the per-property depth-0 check.
+        // property — same answers as a scratch depth-0 check.
         for i in 0..self.slots.len() {
             if self.statuses.yield_if_retired(i, 0) {
                 continue;
             }
             let bad0 = self.slots[i].bads[0];
-            let result = self.solve(&mut solver, &[bad0]);
-            match result {
-                SolveResult::Sat => {
-                    let cex = self.extract_cex(&mut unroller, &solver, 0);
-                    self.statuses.decide(
-                        i,
-                        PropertyStatus::Falsified {
-                            depth: 0,
-                            cex: Some(cex),
-                        },
-                    );
-                }
-                SolveResult::Unsat => {}
-                SolveResult::Interrupted => {
-                    self.statuses.give_up(budget.interrupt_reason(), 0);
-                    return self.finish();
-                }
+            let result = solve(&mut solver, &[bad0], &mut self.run.stats, telemetry);
+            if !self.record(i, 0, result, &mut unroller, &solver) {
+                return self.finish();
             }
         }
 
-        for k in 1..=self.options.max_bound {
+        for k in 1..=options.max_bound {
             let _bound = telemetry.span_args("bound", || vec![("k", ArgValue::U64(k as u64))]);
-            probe.set_bound(k);
+            self.run.set_bound(k);
             self.statuses.sync_board(k - 1);
             let live = self.statuses.live();
             if live.is_empty() {
                 return self.finish();
             }
-            if let Some(reason) = budget.stop_reason() {
-                self.statuses.give_up(reason, k - 1);
+            if self.run.should_stop() {
+                self.statuses.give_up(self.run.stop_reason(), k - 1);
                 return self.finish();
             }
 
@@ -237,17 +234,17 @@ impl<'a> MultiBmc<'a> {
                 let bad = unroller.bad_lit(k, property);
                 self.slots[i].bads.push(bad);
             }
-            self.stats.encode_time += encode_start.elapsed();
+            self.run.stats.encode_time += encode_start.elapsed();
             self.drain(&mut unroller, &mut solver);
 
             // assume-k: every live property survived bound k-1, so its
             // non-violation there is a permanent (and globally sound)
             // constraint from now on.
-            if self.options.check == BmcCheck::ExactAssume && k >= 2 {
+            if options.check == BmcCheck::ExactAssume && k >= 2 {
                 for &i in &live {
                     let bad_prev = self.slots[i].bads[k - 1];
                     solver.add_clause([!bad_prev]);
-                    self.stats.clauses_encoded += 1;
+                    self.run.stats.clauses_encoded += 1;
                 }
             }
 
@@ -255,7 +252,7 @@ impl<'a> MultiBmc<'a> {
                 if self.statuses.yield_if_retired(i, k - 1) {
                     continue;
                 }
-                let assumptions = match self.options.check {
+                let assumptions = match options.check {
                     BmcCheck::Exact | BmcCheck::ExactAssume => vec![self.slots[i].bads[k]],
                     BmcCheck::Bound => {
                         // Extend the property's target chain: assuming the
@@ -275,35 +272,22 @@ impl<'a> MultiBmc<'a> {
                             None => clause.extend(self.slots[i].bads.iter().copied()),
                         }
                         solver.add_clause(clause);
-                        self.stats.clauses_encoded += 1;
-                        self.stats.encode_time += encode_start.elapsed();
+                        self.run.stats.clauses_encoded += 1;
+                        self.run.stats.encode_time += encode_start.elapsed();
                         self.slots[i].bound_target = Some(head);
                         vec![head]
                     }
                 };
-                let result = self.solve(&mut solver, &assumptions);
-                match result {
-                    SolveResult::Sat => {
-                        // Minimal by construction: bounds < k were refuted.
-                        let cex = self.extract_cex(&mut unroller, &solver, k);
-                        self.statuses.decide(
-                            i,
-                            PropertyStatus::Falsified {
-                                depth: k,
-                                cex: Some(cex),
-                            },
-                        );
-                    }
-                    SolveResult::Unsat => {}
-                    SolveResult::Interrupted => {
-                        self.statuses.give_up(budget.interrupt_reason(), k - 1);
-                        return self.finish();
-                    }
+                // A satisfiable answer is minimal by construction: bounds
+                // < k were refuted.
+                let result = solve(&mut solver, &assumptions, &mut self.run.stats, telemetry);
+                if !self.record(i, k, result, &mut unroller, &solver) {
+                    return self.finish();
                 }
             }
         }
         self.statuses
-            .give_up(crate::StopReason::BoundExhausted, self.options.max_bound);
+            .give_up(StopReason::BoundExhausted, options.max_bound);
         self.finish()
     }
 }
@@ -365,6 +349,18 @@ mod tests {
             assert!(
                 trace.bad[*depth][prop],
                 "property {prop}: trace must exhibit the bad state at depth {depth}"
+            );
+        }
+        // The A/B switch: no certificates, same statuses without traces.
+        let off = Engine::Bmc.verify_all(&aig, &options().with_certificates(false));
+        for (prop, status) in off.statuses.iter().enumerate() {
+            assert!(
+                matches!(status, PropertyStatus::Falsified { cex: None, .. }),
+                "property {prop}: {status:?}"
+            );
+            assert_eq!(
+                status.kind_and_depth(),
+                multi.statuses[prop].kind_and_depth()
             );
         }
     }

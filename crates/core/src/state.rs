@@ -18,8 +18,8 @@
 //! and it encodes only the nodes the growing `R_{j-1}` gained since the
 //! previous check.
 
-use crate::engines::RunBudget;
-use crate::{EngineStats, Options};
+use crate::engines::run::EngineRun;
+use crate::EngineStats;
 use aig::{Aig, AigNode};
 use cnf::CnfBuilder;
 use sat::{IncrementalSolver, SolveResult};
@@ -50,8 +50,8 @@ pub struct StateSpace {
 
 impl StateSpace {
     /// Creates a state space for a design with `num_latches` latches,
-    /// whose containment solver is governed by `budget`.
-    pub(crate) fn new(num_latches: usize, budget: &RunBudget, options: &Options) -> StateSpace {
+    /// whose containment solver `run` creates.
+    pub(crate) fn new(num_latches: usize, run: &EngineRun<'_>) -> StateSpace {
         let mut mgr = Aig::new();
         let latch_inputs = (0..num_latches)
             .map(|_| aig::Lit::positive(mgr.add_input()))
@@ -59,19 +59,19 @@ impl StateSpace {
         StateSpace {
             mgr,
             latch_inputs,
-            solver: containment_solver(budget, options),
+            solver: run.incremental(),
             encoded: Vec::new(),
-            telemetry: options.telemetry.clone(),
+            telemetry: run.telemetry().clone(),
         }
     }
 
-    /// Replaces the containment solver with a fresh one governed by
-    /// `budget`, keeping the manager.  An engine calls this when it
+    /// Replaces the containment solver with a fresh one from `run`,
+    /// keeping the manager.  An engine calls this when it
     /// abandons every state set built so far (ITP restarting `R` from
     /// `S0` at a new bound): the dead encodings would otherwise stay in
     /// the solver, and every satisfiable query would assign them all.
-    pub(crate) fn restart_solver(&mut self, budget: &RunBudget, options: &Options) {
-        self.solver = containment_solver(budget, options);
+    pub(crate) fn restart_solver(&mut self, run: &EngineRun<'_>) {
+        self.solver = run.incremental();
         self.encoded.clear();
     }
 
@@ -199,16 +199,6 @@ impl StateSpace {
     }
 }
 
-/// The run's containment solver: incremental, governed by `budget`.
-fn containment_solver(budget: &RunBudget, options: &Options) -> IncrementalSolver {
-    let mut solver = IncrementalSolver::new();
-    // No clause is ever retired, so there is nothing to recycle.
-    solver.set_recycle_threshold(0);
-    solver.set_reduce_interval(options.reduce_interval());
-    budget.govern_incremental(&mut solver);
-    solver
-}
-
 /// Encodes a state-set literal of `space` into `builder`, over the latch
 /// variables `frame_latches` of one time frame, returning the CNF literal
 /// equisatisfiable with "the state at that frame belongs to the set".
@@ -261,6 +251,7 @@ pub(crate) fn set_constraint(
 mod tests {
     use super::*;
     use crate::engines::CancelToken;
+    use crate::Options;
     use cnf::Unroller;
     use sat::Solver;
 
@@ -282,10 +273,11 @@ mod tests {
         )
     }
 
-    /// A state space governed by a fresh budget under `options`.
+    /// A state space governed by a fresh run under `options`.
     fn governed(num_latches: usize, options: &Options) -> StateSpace {
-        let budget = RunBudget::arm(&CancelToken::new(), Instant::now(), options);
-        StateSpace::new(num_latches, &budget, options)
+        let (run, _span) =
+            EngineRun::new("test.run", &Aig::new(), &[], options, &CancelToken::new());
+        StateSpace::new(num_latches, &run)
     }
 
     fn space(num_latches: usize) -> StateSpace {
@@ -390,14 +382,15 @@ mod tests {
     #[test]
     fn restarted_solver_encodes_afresh() {
         let options = Options::default();
-        let budget = RunBudget::arm(&CancelToken::new(), Instant::now(), &options);
-        let mut ss = StateSpace::new(2, &budget, &options);
+        let (run, _span) =
+            EngineRun::new("test.run", &Aig::new(), &[], &options, &CancelToken::new());
+        let mut ss = StateSpace::new(2, &run);
         let (a, b) = (ss.latch(0), ss.latch(1));
         let ab = ss.and(a, b);
         let mut stats = EngineStats::default();
         assert_eq!(ss.implies(ab, a, &mut stats), Ok(true));
         let first = stats.clauses_encoded;
-        ss.restart_solver(&budget, &options);
+        ss.restart_solver(&run);
         assert_eq!(ss.implies(ab, a, &mut stats), Ok(true));
         assert_eq!(stats.clauses_encoded, 2 * first);
         assert_eq!(ss.implies(a, ab, &mut stats), Ok(false));
@@ -409,12 +402,12 @@ mod tests {
         let cancel = CancelToken::new();
         cancel.cancel();
         let options = Options::default();
-        let budget = RunBudget::arm(&cancel, Instant::now(), &options);
-        let mut ss = StateSpace::new(2, &budget, &options);
+        let (run, _span) = EngineRun::new("test.run", &Aig::new(), &[], &options, &cancel);
+        let mut ss = StateSpace::new(2, &run);
         let (a, b) = (ss.latch(0), ss.latch(1));
         let mut stats = EngineStats::default();
         assert_eq!(ss.implies(a, b, &mut stats), Err(Interrupted));
-        assert_eq!(budget.interrupt_reason(), crate::StopReason::Cancelled);
+        assert_eq!(run.stop_reason(), crate::StopReason::Cancelled);
         assert_eq!(stats.containment_calls, 1, "the stopped query still counts");
         // Trivial implications need no solver and still answer.
         assert_eq!(ss.implies(a, a, &mut stats), Ok(true));

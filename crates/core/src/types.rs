@@ -548,8 +548,9 @@ pub struct Options {
     /// BMC formulation used by the sequence-based engines (the paper
     /// advocates [`BmcCheck::ExactAssume`]).
     pub check: BmcCheck,
-    /// Serial fraction `αs` of [`crate::engines::sitpseq`] (0 = fully
-    /// parallel, 1 = fully serial).  The paper uses 0.5.
+    /// Serial fraction `αs` of SITPSEQ and ITPSEQCBA
+    /// ([`crate::engines::seq`]; 0 = fully parallel, 1 = fully serial).
+    /// The paper uses 0.5.
     pub alpha_serial: f64,
     /// Whether the SAT cores periodically retire high-LBD learned clauses
     /// (`true`, the default).  The switch exists for A/B validation: the
@@ -897,22 +898,24 @@ impl Engine {
         options: &Options,
         cancel: &CancelToken,
     ) -> EngineResult {
+        use crate::engines::seq::{self, SeqConfig};
+        use crate::engines::{bmc, itp, pdr, portfolio};
+        let sequence = |name, alpha_serial, use_cba| {
+            let config = SeqConfig {
+                name,
+                alpha_serial,
+                use_cba,
+            };
+            seq::run(aig, bad_index, options, config, cancel)
+        };
         match self {
-            Engine::Bmc => crate::engines::bmc::verify_with_cancel(aig, bad_index, options, cancel),
-            Engine::Itp => crate::engines::itp::verify_with_cancel(aig, bad_index, options, cancel),
-            Engine::ItpSeq => {
-                crate::engines::itpseq::verify_with_cancel(aig, bad_index, options, cancel)
-            }
-            Engine::SerialItpSeq => {
-                crate::engines::sitpseq::verify_with_cancel(aig, bad_index, options, cancel)
-            }
-            Engine::ItpSeqCba => {
-                crate::engines::itpseq_cba::verify_with_cancel(aig, bad_index, options, cancel)
-            }
-            Engine::Pdr => crate::engines::pdr::verify_with_cancel(aig, bad_index, options, cancel),
-            Engine::Portfolio => {
-                crate::engines::portfolio::verify_with_cancel(aig, bad_index, options, cancel)
-            }
+            Engine::Bmc => bmc::run(aig, bad_index, options, cancel),
+            Engine::Itp => itp::run(aig, bad_index, options, cancel),
+            Engine::ItpSeq => sequence("ITPSEQ", 0.0, false),
+            Engine::SerialItpSeq => sequence("SITPSEQ", options.alpha_serial, false),
+            Engine::ItpSeqCba => sequence("ITPSEQCBA", options.alpha_serial, true),
+            Engine::Pdr => pdr::run(aig, bad_index, options, cancel),
+            Engine::Portfolio => portfolio::race(aig, bad_index, options, cancel),
         }
     }
 

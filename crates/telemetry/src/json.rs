@@ -1,9 +1,11 @@
-//! A minimal JSON reader for `itpseq-cert/v1` documents.
+//! The workspace's one JSON reader.
 //!
 //! The workspace has no serde; the emitters hand-roll their JSON and this
-//! reader hand-rolls the inverse.  It accepts the standard grammar
-//! (objects, arrays, strings with escapes, numbers, booleans, null), so
-//! formatting changes in the emitter cannot break the checker.
+//! reader hand-rolls the inverse, for traces and baselines (here) and for
+//! `itpseq-cert/v1` documents (in `certify`).  It is std-only and accepts
+//! the standard grammar (objects, arrays, strings with escapes, numbers,
+//! booleans, null), so formatting changes in an emitter cannot break a
+//! reader.
 
 /// A parsed JSON value.
 #[derive(Clone, Debug, PartialEq)]
@@ -19,15 +21,10 @@ pub enum Json {
 impl Json {
     /// Parses a complete JSON document (rejecting trailing garbage).
     pub fn parse(text: &str) -> Result<Json, String> {
-        let mut parser = Parser {
-            bytes: text.as_bytes(),
-            pos: 0,
-        };
-        parser.skip_ws();
+        let mut parser = Parser { text, pos: 0 };
         let value = parser.value()?;
-        parser.skip_ws();
-        if parser.pos != parser.bytes.len() {
-            return Err(format!("trailing data at byte {}", parser.pos));
+        if parser.peek().is_some() {
+            return Err(parser.err("trailing garbage after document"));
         }
         Ok(value)
     }
@@ -40,6 +37,7 @@ impl Json {
         }
     }
 
+    /// The value of a string.
     pub fn as_str(&self) -> Option<&str> {
         match self {
             Json::String(s) => Some(s),
@@ -47,6 +45,7 @@ impl Json {
         }
     }
 
+    /// The value of a boolean.
     pub fn as_bool(&self) -> Option<bool> {
         match self {
             Json::Bool(b) => Some(*b),
@@ -54,6 +53,7 @@ impl Json {
         }
     }
 
+    /// The items of an array.
     pub fn as_array(&self) -> Option<&[Json]> {
         match self {
             Json::Array(items) => Some(items),
@@ -61,8 +61,24 @@ impl Json {
         }
     }
 
-    /// The value as a non-negative integer (certificate indices are all
-    /// well below the 2^53 exactness limit of the f64 representation).
+    /// The value of a number.
+    pub fn as_f64(&self) -> Option<f64> {
+        match self {
+            Json::Number(n) => Some(*n),
+            _ => None,
+        }
+    }
+
+    /// The value of a non-negative number, truncated to an integer.
+    pub fn as_u64(&self) -> Option<u64> {
+        match self {
+            Json::Number(n) if *n >= 0.0 => Some(*n as u64),
+            _ => None,
+        }
+    }
+
+    /// The value as a non-negative integer index (certificate indices are
+    /// all well below the 2^53 exactness limit of the f64 representation).
     pub fn as_usize(&self) -> Option<usize> {
         match self {
             Json::Number(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= u32::MAX as f64 => {
@@ -74,120 +90,112 @@ impl Json {
 }
 
 struct Parser<'a> {
-    bytes: &'a [u8],
+    text: &'a str,
     pos: usize,
 }
 
-impl<'a> Parser<'a> {
-    fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if b == b' ' || b == b'\t' || b == b'\n' || b == b'\r' {
-                self.pos += 1;
-            } else {
-                break;
-            }
+impl Parser<'_> {
+    fn err(&self, message: &str) -> String {
+        format!("json error at byte {}: {message}", self.pos)
+    }
+
+    /// The next byte after any whitespace.
+    fn peek(&mut self) -> Option<u8> {
+        let bytes = self.text.as_bytes();
+        while matches!(bytes.get(self.pos), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+            self.pos += 1;
         }
+        bytes.get(self.pos).copied()
     }
 
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        if self.peek() == Some(b) {
+    fn eat(&mut self, byte: u8) -> Result<(), String> {
+        if self.peek() == Some(byte) {
             self.pos += 1;
             Ok(())
         } else {
-            Err(format!("expected '{}' at byte {}", b as char, self.pos))
+            Err(self.err(&format!("expected '{}'", byte as char)))
         }
     }
 
     fn literal(&mut self, word: &str, value: Json) -> Result<Json, String> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
+        if self.text[self.pos..].starts_with(word) {
             self.pos += word.len();
             Ok(value)
         } else {
-            Err(format!("invalid literal at byte {}", self.pos))
+            Err(self.err(&format!("expected '{word}'")))
         }
     }
 
     fn value(&mut self) -> Result<Json, String> {
         match self.peek() {
+            None => Err(self.err("unexpected end of input")),
+            Some(b'"') => Ok(Json::String(self.string()?)),
             Some(b'{') => self.object(),
             Some(b'[') => self.array(),
-            Some(b'"') => Ok(Json::String(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'n') => self.literal("null", Json::Null),
-            Some(b'-' | b'0'..=b'9') => self.number(),
-            _ => Err(format!("unexpected input at byte {}", self.pos)),
+            Some(_) => self.number(),
         }
     }
 
     fn object(&mut self) -> Result<Json, String> {
-        self.expect(b'{')?;
+        self.eat(b'{')?;
         let mut fields = Vec::new();
-        self.skip_ws();
         if self.peek() == Some(b'}') {
             self.pos += 1;
             return Ok(Json::Object(fields));
         }
         loop {
-            self.skip_ws();
             let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            let value = self.value()?;
-            fields.push((key, value));
-            self.skip_ws();
+            self.eat(b':')?;
+            fields.push((key, self.value()?));
             match self.peek() {
                 Some(b',') => self.pos += 1,
                 Some(b'}') => {
                     self.pos += 1;
                     return Ok(Json::Object(fields));
                 }
-                _ => return Err(format!("expected ',' or '}}' at byte {}", self.pos)),
+                _ => return Err(self.err("expected ',' or '}'")),
             }
         }
     }
 
     fn array(&mut self) -> Result<Json, String> {
-        self.expect(b'[')?;
+        self.eat(b'[')?;
         let mut items = Vec::new();
-        self.skip_ws();
         if self.peek() == Some(b']') {
             self.pos += 1;
             return Ok(Json::Array(items));
         }
         loop {
-            self.skip_ws();
             items.push(self.value()?);
-            self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
                 Some(b']') => {
                     self.pos += 1;
                     return Ok(Json::Array(items));
                 }
-                _ => return Err(format!("expected ',' or ']' at byte {}", self.pos)),
+                _ => return Err(self.err("expected ',' or ']'")),
             }
         }
     }
 
     fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
+        self.eat(b'"')?;
         let mut out = String::new();
         loop {
-            match self.peek() {
-                None => return Err("unterminated string".to_string()),
+            match self.text.as_bytes().get(self.pos) {
+                None => return Err(self.err("unterminated string")),
                 Some(b'"') => {
                     self.pos += 1;
                     return Ok(out);
                 }
                 Some(b'\\') => {
                     self.pos += 1;
-                    match self.peek() {
+                    let escape = self.text.as_bytes().get(self.pos).copied();
+                    self.pos += 1;
+                    match escape {
                         Some(b'"') => out.push('"'),
                         Some(b'\\') => out.push('\\'),
                         Some(b'/') => out.push('/'),
@@ -197,32 +205,28 @@ impl<'a> Parser<'a> {
                         Some(b'b') => out.push('\u{8}'),
                         Some(b'f') => out.push('\u{c}'),
                         Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or("truncated \\u escape")?;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex).map_err(|_| "bad \\u escape")?,
-                                16,
-                            )
-                            .map_err(|_| "bad \\u escape")?;
-                            // Surrogate pairs never appear in the emitter's
-                            // output (it only escapes control characters).
-                            out.push(char::from_u32(code).ok_or("bad \\u code point")?);
+                            // Surrogate pairs never appear in the emitters'
+                            // output (they only escape control characters).
+                            let code = self
+                                .text
+                                .get(self.pos..self.pos + 4)
+                                .and_then(|hex| u32::from_str_radix(hex, 16).ok())
+                                .and_then(char::from_u32)
+                                .ok_or_else(|| self.err("bad \\u escape"))?;
+                            out.push(code);
                             self.pos += 4;
                         }
-                        _ => return Err(format!("bad escape at byte {}", self.pos)),
+                        _ => return Err(self.err("bad escape")),
                     }
-                    self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (the input is a &str, so
-                    // the byte stream is valid UTF-8).
-                    let rest = &self.bytes[self.pos..];
-                    let s = unsafe { std::str::from_utf8_unchecked(rest) };
-                    let c = s.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the run up to the next quote or escape in one
+                    // piece; both are ASCII, so the run ends on a
+                    // character boundary.
+                    let rest = &self.text[self.pos..];
+                    let len = rest.find(['"', '\\']).unwrap_or(rest.len());
+                    out.push_str(&rest[..len]);
+                    self.pos += len;
                 }
             }
         }
@@ -230,19 +234,17 @@ impl<'a> Parser<'a> {
 
     fn number(&mut self) -> Result<Json, String> {
         let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
+        let bytes = self.text.as_bytes();
         while matches!(
-            self.peek(),
-            Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
+            bytes.get(self.pos),
+            Some(b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
         ) {
             self.pos += 1;
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
-        text.parse::<f64>()
+        self.text[start..self.pos]
+            .parse::<f64>()
             .map(Json::Number)
-            .map_err(|_| format!("bad number at byte {start}"))
+            .map_err(|_| self.err("bad number"))
     }
 }
 

@@ -24,6 +24,8 @@
 //!   `trace-report` binary.
 //! * [`folded`] — inferno-compatible collapsed-stack export for
 //!   flamegraphs.
+//! * [`json`] — the workspace's one std-only JSON reader, for traces,
+//!   baselines and (in `certify`) certificate documents.
 //!
 //! # Event model
 //!
@@ -59,6 +61,7 @@
 //! ```
 
 pub mod folded;
+pub mod json;
 pub mod report;
 
 use std::fmt;

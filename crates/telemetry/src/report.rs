@@ -29,6 +29,7 @@
 //! reference; wall times are *reported* but never gated, because CI
 //! hardware is not.
 
+use crate::json::Json;
 use crate::{ArgValue, Event, EventKind, TRACE_SCHEMA};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -81,234 +82,6 @@ impl From<&Event> for RecEvent {
     }
 }
 
-// ---------------------------------------------------------------------------
-// A minimal JSON reader for our own artifacts (traces, baselines).
-// ---------------------------------------------------------------------------
-
-/// A parsed JSON value — just enough for the crate's own flat documents.
-#[derive(Clone, Debug, PartialEq)]
-pub(crate) enum Json {
-    Null,
-    Bool(bool),
-    Num(f64),
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    pub(crate) fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    pub(crate) fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    pub(crate) fn as_u64(&self) -> Option<u64> {
-        match self {
-            Json::Num(n) if *n >= 0.0 => Some(*n as u64),
-            _ => None,
-        }
-    }
-
-    pub(crate) fn as_f64(&self) -> Option<f64> {
-        match self {
-            Json::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-
-    pub(crate) fn as_arr(&self) -> Option<&[Json]> {
-        match self {
-            Json::Arr(items) => Some(items),
-            _ => None,
-        }
-    }
-}
-
-struct JsonParser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> JsonParser<'a> {
-    fn err(&self, message: &str) -> String {
-        format!("json error at byte {}: {message}", self.pos)
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.bytes.get(self.pos), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.pos += 1;
-        }
-    }
-
-    fn eat(&mut self, byte: u8) -> Result<(), String> {
-        self.skip_ws();
-        if self.bytes.get(self.pos) == Some(&byte) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(self.err(&format!("expected '{}'", byte as char)))
-        }
-    }
-
-    fn peek(&mut self) -> Option<u8> {
-        self.skip_ws();
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn literal(&mut self, word: &str, value: Json) -> Result<Json, String> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(value)
-        } else {
-            Err(self.err(&format!("expected '{word}'")))
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.eat(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.bytes.get(self.pos) {
-                None => return Err(self.err("unterminated string")),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    let escape = self
-                        .bytes
-                        .get(self.pos)
-                        .copied()
-                        .ok_or_else(|| self.err("unterminated escape"))?;
-                    self.pos += 1;
-                    match escape {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .ok_or_else(|| self.err("truncated \\u escape"))?;
-                            let hex = std::str::from_utf8(hex)
-                                .ok()
-                                .and_then(|h| u32::from_str_radix(h, 16).ok())
-                                .ok_or_else(|| self.err("bad \\u escape"))?;
-                            self.pos += 4;
-                            out.push(char::from_u32(hex).unwrap_or('\u{fffd}'));
-                        }
-                        other => return Err(self.err(&format!("bad escape '\\{}'", other as char))),
-                    }
-                }
-                Some(_) => {
-                    // Copy a full UTF-8 scalar, not byte by byte.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.err("invalid utf-8"))?;
-                    let c = rest.chars().next().ok_or_else(|| self.err("empty"))?;
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
-            }
-        }
-    }
-
-    fn number(&mut self) -> Result<Json, String> {
-        let start = self.pos;
-        while matches!(
-            self.bytes.get(self.pos),
-            Some(b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
-        ) {
-            self.pos += 1;
-        }
-        std::str::from_utf8(&self.bytes[start..self.pos])
-            .ok()
-            .and_then(|s| s.parse::<f64>().ok())
-            .map(Json::Num)
-            .ok_or_else(|| self.err("bad number"))
-    }
-
-    fn value(&mut self) -> Result<Json, String> {
-        match self.peek() {
-            None => Err(self.err("unexpected end of input")),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'{') => {
-                self.eat(b'{')?;
-                let mut fields = Vec::new();
-                if self.peek() == Some(b'}') {
-                    self.pos += 1;
-                    return Ok(Json::Obj(fields));
-                }
-                loop {
-                    let key = self.string()?;
-                    self.eat(b':')?;
-                    fields.push((key, self.value()?));
-                    match self.peek() {
-                        Some(b',') => self.pos += 1,
-                        Some(b'}') => {
-                            self.pos += 1;
-                            return Ok(Json::Obj(fields));
-                        }
-                        _ => return Err(self.err("expected ',' or '}'")),
-                    }
-                }
-            }
-            Some(b'[') => {
-                self.eat(b'[')?;
-                let mut items = Vec::new();
-                if self.peek() == Some(b']') {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                loop {
-                    items.push(self.value()?);
-                    match self.peek() {
-                        Some(b',') => self.pos += 1,
-                        Some(b']') => {
-                            self.pos += 1;
-                            return Ok(Json::Arr(items));
-                        }
-                        _ => return Err(self.err("expected ',' or ']'")),
-                    }
-                }
-            }
-            Some(b't') => self.literal("true", Json::Bool(true)),
-            Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'n') => self.literal("null", Json::Null),
-            Some(_) => self.number(),
-        }
-    }
-}
-
-/// Parses one JSON document (the hand-rolled reader for the crate's own
-/// artifacts; rejects trailing garbage).
-pub(crate) fn parse_json(text: &str) -> Result<Json, String> {
-    let mut parser = JsonParser {
-        bytes: text.as_bytes(),
-        pos: 0,
-    };
-    let value = parser.value()?;
-    parser.skip_ws();
-    if parser.pos != parser.bytes.len() {
-        return Err(parser.err("trailing garbage after document"));
-    }
-    Ok(value)
-}
-
 /// Parses an `itpseq-trace/v1` JSONL stream (header line plus one event
 /// per line) back into recorded events.
 pub(crate) fn parse_trace_jsonl(text: &str) -> Result<Vec<RecEvent>, String> {
@@ -317,7 +90,7 @@ pub(crate) fn parse_trace_jsonl(text: &str) -> Result<Vec<RecEvent>, String> {
         .enumerate()
         .filter(|(_, l)| !l.trim().is_empty());
     let (_, header) = lines.next().ok_or("empty trace file")?;
-    let header = parse_json(header)?;
+    let header = Json::parse(header)?;
     let schema = header
         .get("schema")
         .and_then(Json::as_str)
@@ -327,7 +100,7 @@ pub(crate) fn parse_trace_jsonl(text: &str) -> Result<Vec<RecEvent>, String> {
     }
     let mut events = Vec::new();
     for (index, line) in lines {
-        let value = parse_json(line).map_err(|e| format!("line {}: {e}", index + 1))?;
+        let value = Json::parse(line).map_err(|e| format!("line {}: {e}", index + 1))?;
         let field = |key: &str| {
             value
                 .get(key)
@@ -341,11 +114,11 @@ pub(crate) fn parse_trace_jsonl(text: &str) -> Result<Vec<RecEvent>, String> {
             other => return Err(format!("line {}: bad phase {other:?}", index + 1)),
         };
         let args = match value.get("args") {
-            Some(Json::Obj(fields)) => fields
+            Some(Json::Object(fields)) => fields
                 .iter()
                 .filter_map(|(k, v)| match v {
-                    Json::Num(n) if *n >= 0.0 => Some((k.clone(), ArgValue::U64(*n as u64))),
-                    Json::Str(s) => Some((k.clone(), ArgValue::Str(s.clone()))),
+                    Json::Number(n) if *n >= 0.0 => Some((k.clone(), ArgValue::U64(*n as u64))),
+                    Json::String(s) => Some((k.clone(), ArgValue::Str(s.clone()))),
                     _ => None,
                 })
                 .collect(),
@@ -1120,7 +893,7 @@ impl Baseline {
 
     /// Parses the `itpseq-report-baseline/v1` document.
     pub fn parse(text: &str) -> Result<Baseline, String> {
-        let doc = parse_json(text)?;
+        let doc = Json::parse(text)?;
         let schema = doc
             .get("schema")
             .and_then(Json::as_str)
@@ -1130,7 +903,7 @@ impl Baseline {
         }
         let entries = doc
             .get("entries")
-            .and_then(Json::as_arr)
+            .and_then(Json::as_array)
             .ok_or("baseline carries no entries array")?;
         let mut parsed = Vec::with_capacity(entries.len());
         for entry in entries {
@@ -1422,10 +1195,10 @@ mod tests {
         assert!(TraceReport::from_jsonl("").is_err());
         assert!(TraceReport::from_jsonl("{\"schema\":\"bogus/v9\"}\n").is_err());
         assert!(TraceReport::from_jsonl("{\"schema\":\"itpseq-trace/v1\"}\nnot json\n").is_err());
-        assert!(parse_json("{\"a\":1} trailing").is_err());
-        assert!(parse_json("[1,2,").is_err());
+        assert!(Json::parse("{\"a\":1} trailing").is_err());
+        assert!(Json::parse("[1,2,").is_err());
         // Escapes round-trip.
-        let doc = parse_json(r#"{"s":"a\"b\\c\ndA"}"#).unwrap();
+        let doc = Json::parse(r#"{"s":"a\"b\\c\ndA"}"#).unwrap();
         assert_eq!(doc.get("s").unwrap().as_str(), Some("a\"b\\c\ndA"));
     }
 

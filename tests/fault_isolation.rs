@@ -93,32 +93,47 @@ fn seeded_faults_are_contained_and_sound() {
     assert!(fired > 0, "the sweep must land at least one fault");
 }
 
-/// Every (site, kind) combination is contained; an unwind that costs the
-/// verdict is counted and reported as a `panic:` reason.
+/// Every (site, kind) combination is contained in every sequential
+/// engine; an unwind that costs the verdict is counted and reported as a
+/// `panic:` reason, and an injected interrupt that costs it is reported
+/// as `fault:interrupt`.
 #[test]
 fn every_fault_site_and_kind_is_contained() {
-    // A workload with real search: a propagation-only run never ticks
-    // the conflict site, so the sweep needs a benchmark whose clean run
-    // reports conflicts.
     let base = options().with_threads(1);
-    let (benchmark, clean) = itpseq::workloads::suite::mid_size()
-        .into_iter()
-        .find_map(|b| {
-            let result = Engine::ItpSeq.verify(&b.aig, 0, &base);
-            (result.stats.conflicts > 0).then_some((b, result.verdict))
-        })
-        .expect("a mid-size benchmark with conflicts");
-    for site in [FaultSite::Conflict, FaultSite::Alloc, FaultSite::Phase] {
-        for kind in [FaultKind::Panic, FaultKind::Interrupt, FaultKind::AllocFail] {
-            let chaos = base.clone().with_faults(FaultPlan::inject(site, kind, 1));
-            let result = Engine::ItpSeq.verify(&benchmark.aig, 0, &chaos);
-            let context = format!("{site:?}/{kind:?}");
-            let degraded = assert_sound(&context, &clean, &result);
-            assert_eq!(
-                result.stats.faults_injected, 1,
-                "{context}: the armed fault fires exactly once"
-            );
-            if degraded {
+    let engines = [
+        Engine::Bmc,
+        Engine::Itp,
+        Engine::ItpSeq,
+        Engine::SerialItpSeq,
+        Engine::ItpSeqCba,
+        Engine::Pdr,
+    ];
+    for engine in engines {
+        // A workload with real search: a propagation-only run never ticks
+        // the conflict site, so the sweep needs a benchmark whose clean
+        // run reports conflicts.
+        let (benchmark, clean) = itpseq::workloads::suite::mid_size()
+            .into_iter()
+            .find_map(|b| {
+                let result = engine.verify(&b.aig, 0, &base);
+                (result.stats.conflicts > 0).then_some((b, result.verdict))
+            })
+            .expect("a mid-size benchmark with conflicts");
+        for site in [FaultSite::Conflict, FaultSite::Alloc, FaultSite::Phase] {
+            for kind in [FaultKind::Panic, FaultKind::Interrupt, FaultKind::AllocFail] {
+                let chaos = base.clone().with_faults(FaultPlan::inject(site, kind, 1));
+                let result = engine.verify(&benchmark.aig, 0, &chaos);
+                let context = format!("{} / {site:?}/{kind:?}", engine.name());
+                let degraded = assert_sound(&context, &clean, &result);
+                assert_eq!(
+                    result.stats.faults_injected, 1,
+                    "{context}: the armed fault fires exactly once"
+                );
+                if !degraded || result.verdict == clean {
+                    // The fault cost nothing (an inconclusive clean run
+                    // stays what it was).
+                    continue;
+                }
                 match kind {
                     FaultKind::Panic | FaultKind::AllocFail => {
                         assert!(
@@ -137,7 +152,14 @@ fn every_fault_site_and_kind_is_contained() {
                             result.verdict
                         );
                     }
-                    FaultKind::Interrupt => {}
+                    FaultKind::Interrupt => assert!(
+                        matches!(
+                            &result.verdict,
+                            Verdict::Inconclusive { reason, .. } if reason == "fault:interrupt"
+                        ),
+                        "{context}: expected fault:interrupt, got {}",
+                        result.verdict
+                    ),
                 }
             }
         }

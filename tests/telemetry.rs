@@ -92,6 +92,67 @@ fn engine_runs_emit_well_formed_streams() {
     }
 }
 
+/// A counter wrapping at `modulus - 1` whose property reads only its top
+/// bit: the initial CBA abstraction hides the lower bits, so ITPSEQCBA
+/// must refine (the property fails iff the counter reaches 4).
+fn top_bit_counter(modulus: u64) -> itpseq::aig::Aig {
+    use itpseq::aig::builder::{
+        latch_word, word_const, word_equals_const, word_increment, word_mux,
+    };
+    let mut aig = itpseq::aig::Aig::new();
+    let (ids, bits) = latch_word(&mut aig, 3, 0);
+    let wrap = word_equals_const(&mut aig, &bits, modulus - 1);
+    let inc = word_increment(&mut aig, &bits, itpseq::aig::Lit::TRUE);
+    let next = word_mux(&mut aig, wrap, &word_const(3, 0), &inc);
+    for (id, n) in ids.iter().zip(next.iter()) {
+        aig.set_next(*id, *n);
+    }
+    aig.add_bad(bits[2]);
+    aig
+}
+
+/// Every SAT query an engine counts is traced: the `sat` spans plus the
+/// containment queries' `contain` spans add up to `sat_calls`, on proved,
+/// falsified, depth-0 and CBA-refining runs of every sequential engine.
+#[test]
+fn every_counted_sat_query_is_traced() {
+    let designs = [
+        ("proved", counter(12)),
+        ("falsified", counter(7)),
+        ("depth-0", counter(0)),
+        ("refining, proved", top_bit_counter(4)),
+        ("refining, falsified", top_bit_counter(5)),
+    ];
+    let engines = [
+        Engine::Bmc,
+        Engine::Itp,
+        Engine::ItpSeq,
+        Engine::SerialItpSeq,
+        Engine::ItpSeqCba,
+        Engine::Pdr,
+    ];
+    let mut refinements = 0;
+    for (label, aig) in &designs {
+        for engine in engines {
+            let sink = Arc::new(MemorySink::new());
+            let traced = options().with_telemetry(Telemetry::new(sink.clone()));
+            let result = engine.verify(aig, 0, &traced);
+            let decided = result.verdict.is_conclusive() || engine == Engine::Bmc;
+            assert!(decided, "{engine} / {label}: {}", result.verdict);
+            let queries = sink
+                .snapshot()
+                .iter()
+                .filter(|e| e.kind == EventKind::Begin && (e.name == "sat" || e.name == "contain"))
+                .count() as u64;
+            assert_eq!(queries, result.stats.sat_calls, "{engine} / {label}");
+            if engine == Engine::ItpSeqCba {
+                refinements += result.stats.refinements;
+            }
+        }
+    }
+    assert!(refinements > 0, "the CBA designs must refine");
+}
+
 #[test]
 fn sequential_traces_are_reproducible() {
     for engine in [Engine::Bmc, Engine::ItpSeq, Engine::Pdr] {
