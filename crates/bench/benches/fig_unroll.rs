@@ -5,7 +5,7 @@
 //! bound (`O(K²)` work); the incremental path encodes each frame once
 //! (`O(K)`).
 
-use cnf::{BmcCheck, IncrementalUnroller};
+use cnf::{BmcCheck, Unroller};
 use criterion::{criterion_group, criterion_main, Criterion};
 
 /// Encodes every bound up to `max_bound` from scratch, as the engines did
@@ -22,7 +22,7 @@ fn scratch_encode(aig: &aig::Aig, max_bound: usize, check: BmcCheck) -> usize {
 /// Grows one persistent unrolling to `max_bound`, draining only the delta
 /// clauses per bound — the pattern of the incremental BMC engine.
 fn incremental_encode(aig: &aig::Aig, max_bound: usize) -> usize {
-    let mut unroller = IncrementalUnroller::new(aig);
+    let mut unroller = Unroller::new(aig);
     unroller.assert_initial(0);
     let mut total_clauses = 0;
     for k in 1..=max_bound {

@@ -442,9 +442,7 @@ impl TraceCapture {
         if self.paths.report.is_some() || self.paths.folded.is_some() {
             let report = telemetry::report::TraceReport::from_events(&events);
             if let Some(path) = &self.paths.report {
-                // The baseline comparison is `trace-report --baseline`'s
-                // job; the inline report documents the run itself.
-                std::fs::write(path, report.to_json(None))
+                std::fs::write(path, report.to_json())
                     .map_err(|e| format!("cannot write {path}: {e}"))?;
                 eprintln!(
                     "wrote span report ({} span aggregates) to {path}",
@@ -838,9 +836,8 @@ mod tests {
             report_doc.contains(r#""name":"ITPSEQ.run""#),
             "{report_doc}"
         );
-        assert!(report_doc.contains(r#""baseline": null"#), "{report_doc}");
         let from_jsonl = telemetry::report::TraceReport::from_jsonl(&trace).expect("parses");
-        assert_eq!(report_doc, from_jsonl.to_json(None));
+        assert_eq!(report_doc, from_jsonl.to_json());
         let folded_doc = std::fs::read_to_string(&folded).expect("folded written");
         assert!(folded_doc.contains("main;ITPSEQ.run"), "{folded_doc}");
         std::fs::remove_dir_all(&dir).ok();

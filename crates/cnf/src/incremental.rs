@@ -1,37 +1,32 @@
-//! Persistent (incremental) time-frame unrolling.
+//! Persistent (incremental) use of an [`Unroller`].
 //!
-//! The scratch [`Unroller`](crate::Unroller) is the right shape for
-//! one-shot instance construction, but every bound loop that rebuilds it
-//! at bound `k` re-Tseitin-encodes all `k` frames — `O(k²)` total encoding
-//! work across a run that only ever *extends* the unrolling by one frame
-//! at a time.
-//!
-//! [`IncrementalUnroller`] is the persistent variant: it owns its design
-//! and keeps the frames, per-frame latch/input variable maps and Tseitin
-//! caches alive across bounds, so adding frame `k+1` only encodes the
+//! A bound loop that rebuilds its unrolling at bound `k` re-Tseitin-encodes
+//! all `k` frames — `O(k²)` total encoding work across a run that only
+//! ever *extends* the unrolling by one frame at a time.  An [`Unroller`]
+//! kept across bounds keeps its frames, per-frame latch/input variable
+//! maps and Tseitin caches alive, so adding frame `k+1` only encodes the
 //! *delta* — the next-state cones at frame `k` and the new frame's latch
 //! equalities.  Two consumption styles are supported:
 //!
-//! * **delta drain** ([`pending_clauses`](IncrementalUnroller::pending_clauses)
-//!   / [`mark_drained`](IncrementalUnroller::mark_drained)) — feed only the
-//!   newly emitted clauses into a long-lived incremental SAT solver, as the
-//!   BMC engine does;
-//! * **slices** ([`clauses`](IncrementalUnroller::clauses) plus
-//!   [`detached_lit`](IncrementalUnroller::detached_lit) for targets that
-//!   must stay out of the cache) — load a prefix of the accumulated
-//!   clauses and a per-check tail into a fresh proof-logging solver, as
-//!   the interpolation engines do (their partition-labelled proofs must
-//!   come from a solver that saw exactly that check's formula, so only
-//!   the *encoding* is shared there, never the solver).
+//! * **delta drain** ([`pending_clauses`](Unroller::pending_clauses) /
+//!   [`mark_drained`](Unroller::mark_drained)) — feed only the newly
+//!   emitted clauses into a long-lived incremental SAT solver, as the BMC
+//!   engine does;
+//! * **slices** ([`clauses`](Unroller::clauses) plus
+//!   [`detached_lit`](Unroller::detached_lit) for targets that must stay
+//!   out of the cache) — load a prefix of the accumulated clauses and a
+//!   per-check tail into a fresh proof-logging solver, as the
+//!   interpolation engines do (their partition-labelled proofs must come
+//!   from a solver that saw exactly that check's formula, so only the
+//!   *encoding* is shared there, never the solver).
 //!
-//! Clause and variable allocation order is exactly the order a scratch
-//! `Unroller` driven through the same sequence of operations would
-//! produce, which is what lets the engines keep their instances
-//! bit-identical to the scratch path (see the seq-engine cache in the
-//! model-checker crate).
+//! Clause and variable allocation order depends only on the sequence of
+//! operations, never on when clauses are drained, which is what lets the
+//! engines keep their cached instances bit-identical to one-shot builds
+//! (see the seq-engine cache in the model-checker crate).
 //!
 //! ```
-//! use cnf::IncrementalUnroller;
+//! use cnf::Unroller;
 //!
 //! let mut aig = aig::Aig::new();
 //! let l = aig.add_latch(false);
@@ -39,7 +34,7 @@
 //! aig.set_next(l, !cur);
 //! aig.add_bad(cur);
 //!
-//! let mut unroller = IncrementalUnroller::new(&aig);
+//! let mut unroller = Unroller::new(&aig);
 //! unroller.assert_initial(0);
 //! unroller.add_frame();
 //! let first = unroller.pending_clauses().len();
@@ -50,101 +45,9 @@
 //! assert!(unroller.pending_clauses().len() <= first);
 //! ```
 
-use crate::unroll::FrameCore;
-use crate::{Clause, Cnf, CnfBuilder, Lit};
-use aig::Aig;
-use std::sync::Arc;
+use crate::{Clause, Lit, Unroller};
 
-/// A persistent unrolling of a sequential AIG: frames, variable maps and
-/// Tseitin caches survive across bounds, and only delta clauses are
-/// emitted when the unrolling grows.
-///
-/// See the module-level documentation for the two consumption styles.
-#[derive(Clone, Debug)]
-pub struct IncrementalUnroller {
-    /// The design, shared so per-bound clones (the exact-k target path of
-    /// the sequence engines) never deep-copy it.
-    aig: Arc<Aig>,
-    core: FrameCore,
-    /// Clauses `0..drained` have already been handed to the consumer.
-    drained: usize,
-}
-
-impl IncrementalUnroller {
-    /// Creates a persistent unroller for `aig` (cloned, so the unroller can
-    /// outlive the caller's borrow) with a single frame (frame 0).
-    pub fn new(aig: &Aig) -> IncrementalUnroller {
-        let core = FrameCore::new(aig);
-        IncrementalUnroller {
-            aig: Arc::new(aig.clone()),
-            core,
-            drained: 0,
-        }
-    }
-
-    /// Returns the underlying design.
-    pub fn aig(&self) -> &Aig {
-        &self.aig
-    }
-
-    /// Number of frames created so far (at least 1).
-    pub fn num_frames(&self) -> usize {
-        self.core.num_frames()
-    }
-
-    /// Gives mutable access to the clause builder (for partition control
-    /// and extra clauses).
-    pub fn builder_mut(&mut self) -> &mut CnfBuilder {
-        self.core.builder_mut()
-    }
-
-    /// Gives read access to the clause builder.
-    pub fn builder(&self) -> &CnfBuilder {
-        self.core.builder()
-    }
-
-    /// Returns the SAT literal of latch `latch` at frame `frame`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the frame or latch index is out of range.
-    pub fn latch_lit(&self, frame: usize, latch: usize) -> Lit {
-        self.core.latch_lit(frame, latch)
-    }
-
-    /// Returns the SAT literals of every latch at frame `frame`.
-    pub fn latch_lits(&self, frame: usize) -> Vec<Lit> {
-        self.core.latch_lits(frame)
-    }
-
-    /// Returns (allocating on demand) the SAT literal of primary input
-    /// `input` at frame `frame`.
-    pub fn input_lit(&mut self, frame: usize, input: usize) -> Lit {
-        self.core.input_lit(&self.aig, frame, input)
-    }
-
-    /// Encodes (or retrieves from the frame cache) the SAT literal of an
-    /// AIG literal evaluated at frame `frame`.
-    pub fn lit(&mut self, frame: usize, lit: aig::Lit) -> Lit {
-        self.core.lit(&self.aig, frame, lit)
-    }
-
-    /// Asserts that frame `frame` is in the design's initial state.
-    pub fn assert_initial(&mut self, frame: usize) {
-        self.core.assert_initial(&self.aig, frame);
-    }
-
-    /// Adds a new frame and emits the transition constraint
-    /// `T(V^{last}, V^{new})`; returns the index of the new frame.
-    pub fn add_frame(&mut self) -> usize {
-        self.core.add_frame(&self.aig)
-    }
-
-    /// Encodes bad-state literal `index` of the design at frame `frame`.
-    pub fn bad_lit(&mut self, frame: usize, index: usize) -> Lit {
-        self.core.bad_lit(&self.aig, frame, index)
-    }
-
+impl Unroller<'_> {
     /// Encodes several bad-state literals at frame `frame` in one call —
     /// the multi-property consumers' bulk form of
     /// [`bad_lit`](Self::bad_lit).  Shared cone structure is encoded once
@@ -161,72 +64,25 @@ impl IncrementalUnroller {
             .collect()
     }
 
-    /// Asserts an already-encoded SAT literal as a unit clause.
-    pub fn assert_lit(&mut self, lit: Lit) {
-        self.core.assert_lit(lit);
-    }
-
-    /// Encodes `lit` at `frame` as a scratch unrolling that ends at
-    /// `frame` would, without touching this unroller: against a frame
-    /// cache that holds only the frame's latch variables, with fresh input
-    /// variables numbered from `first_var`, in partition `partition`.
-    /// Returns the cone's clauses (`num_vars` is the next free variable)
-    /// and the literal.
-    ///
-    /// The exact-k target of a cached unrolling is encoded this way: a
-    /// scratch build encodes `bad(k)` on a fresh last frame, while the
-    /// cache may already have filled that frame with next-state cones.
-    pub fn detached_lit(
-        &self,
-        frame: usize,
-        lit: aig::Lit,
-        first_var: u32,
-        partition: u32,
-    ) -> (Cnf, Lit) {
-        let (builder, lit) = self
-            .core
-            .detached_lit(&self.aig, frame, lit, first_var, partition);
-        (builder.into_cnf(), lit)
-    }
-
-    /// Every clause emitted so far, in emission order.
-    pub fn clauses(&self) -> &[Clause] {
-        self.core.clauses()
-    }
-
-    /// Total clauses emitted so far (drained or not).
-    pub fn num_clauses(&self) -> usize {
-        self.core.clauses().len()
-    }
-
-    /// Returns the number of SAT variables allocated so far.
-    pub fn num_vars(&self) -> u32 {
-        self.core.num_vars()
-    }
-
     /// The clauses emitted since the last [`mark_drained`](Self::mark_drained)
     /// — the delta a long-lived incremental solver still has to load.
     pub fn pending_clauses(&self) -> &[Clause] {
-        &self.core.clauses()[self.drained..]
+        &self.clauses()[self.drained..]
     }
 
     /// Marks every clause emitted so far as consumed; subsequent
     /// [`pending_clauses`](Self::pending_clauses) calls return only newer
     /// clauses.
     pub fn mark_drained(&mut self) {
-        self.drained = self.core.clauses().len();
-    }
-
-    /// Consumes the unroller and returns the accumulated CNF.
-    pub fn into_cnf(self) -> Cnf {
-        self.core.into_cnf()
+        self.drained = self.num_clauses();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Unroller;
+    use aig::Aig;
+    use std::sync::Arc;
 
     fn counter2() -> Aig {
         let mut aig = Aig::new();
@@ -241,17 +97,19 @@ mod tests {
         aig
     }
 
-    /// Drives a scratch unroller and an incremental one through the same
-    /// operations: clauses and variables must match exactly.
+    /// Drives a borrowing unroller and a shared one, drained frame by
+    /// frame, through the same operations: clauses and variables must
+    /// match exactly.
     #[test]
     fn matches_scratch_unroller_clause_for_clause() {
         let aig = counter2();
         let mut scratch = Unroller::new(&aig);
-        let mut incremental = IncrementalUnroller::new(&aig);
+        let mut incremental = Unroller::shared(Arc::new(aig.clone()));
         scratch.builder_mut().set_partition(1);
         incremental.builder_mut().set_partition(1);
         scratch.assert_initial(0);
         incremental.assert_initial(0);
+        let mut drained: Vec<Clause> = Vec::new();
         for f in 1..=5usize {
             scratch.builder_mut().set_partition(f as u32 + 1);
             incremental.builder_mut().set_partition(f as u32 + 1);
@@ -260,15 +118,17 @@ mod tests {
             let sb = scratch.bad_lit(f, 0);
             let ib = incremental.bad_lit(f, 0);
             assert_eq!(sb, ib, "bad literal at frame {f}");
+            drained.extend_from_slice(incremental.pending_clauses());
+            incremental.mark_drained();
         }
         assert_eq!(scratch.num_vars(), incremental.num_vars());
-        assert_eq!(scratch.clauses(), incremental.builder().clauses());
+        assert_eq!(scratch.clauses(), &drained[..]);
     }
 
     #[test]
     fn delta_drain_covers_every_clause_exactly_once() {
         let aig = counter2();
-        let mut u = IncrementalUnroller::new(&aig);
+        let mut u = Unroller::new(&aig);
         u.assert_initial(0);
         let mut drained: Vec<Clause> = Vec::new();
         for f in 1..=6usize {
@@ -287,7 +147,7 @@ mod tests {
         // The delta emitted for frame k must not grow with k: that is the
         // O(K) total-encoding property the BMC engine relies on.
         let aig = counter2();
-        let mut u = IncrementalUnroller::new(&aig);
+        let mut u = Unroller::new(&aig);
         u.assert_initial(0);
         let mut per_frame = Vec::new();
         for f in 1..=10usize {
@@ -316,8 +176,8 @@ mod tests {
     #[test]
     fn bulk_bad_encoding_matches_one_by_one() {
         let aig = multi_bad_counter();
-        let mut bulk = IncrementalUnroller::new(&aig);
-        let mut single = IncrementalUnroller::new(&aig);
+        let mut bulk = Unroller::new(&aig);
+        let mut single = Unroller::new(&aig);
         bulk.assert_initial(0);
         single.assert_initial(0);
         let bulk_lits = bulk.bad_lits(0, 0..aig.num_bad());
@@ -326,7 +186,7 @@ mod tests {
         assert_eq!(bulk.num_clauses(), single.num_clauses());
         // The shared cone structure (the latch literals) is cached: the
         // second and third cones add at most their own gates.
-        let mut fresh = IncrementalUnroller::new(&aig);
+        let mut fresh = Unroller::new(&aig);
         fresh.assert_initial(0);
         let _ = fresh.bad_lit(0, 0);
         let after_first = fresh.num_clauses();
@@ -339,36 +199,41 @@ mod tests {
 
     /// A detached target encodes on a fresh last frame exactly as a
     /// scratch unrolling ending there does, and leaves the cache alone —
-    /// even after the cache has moved past that frame.
+    /// even after the cache has moved past that frame.  Its input
+    /// literals are the scratch frame's.
     #[test]
     fn detached_lit_matches_a_scratch_last_frame() {
         let aig = counter2();
-        let mut u = IncrementalUnroller::new(&aig);
+        let mut u = Unroller::new(&aig);
         u.builder_mut().set_partition(1);
         u.assert_initial(0);
         u.add_frame();
         let (clauses_at_1, vars_at_1) = (u.num_clauses(), u.num_vars());
         u.add_frame();
         let before = u.num_clauses();
-        let (cone, lit) = u.detached_lit(1, aig.bad(0), vars_at_1, 3);
-        assert_eq!(u.num_clauses(), before, "the cache must not grow");
+        // The first latch's next-state cone reads the enable input.
+        for target in [aig.bad(0), aig.next(0)] {
+            let (cone, lit, inputs) = u.detached_lit(1, target, vars_at_1, 3);
+            assert_eq!(u.num_clauses(), before, "the cache must not grow");
 
-        let mut scratch = Unroller::new(&aig);
-        scratch.builder_mut().set_partition(1);
-        scratch.assert_initial(0);
-        scratch.add_frame();
-        scratch.builder_mut().set_partition(3);
-        assert_eq!(scratch.bad_lit(1, 0), lit);
-        assert_eq!(&scratch.clauses()[clauses_at_1..], &cone.clauses[..]);
-        assert_eq!(scratch.num_vars(), cone.num_vars);
-        assert!(cone.clauses.iter().all(|c| c.partition == 3));
+            let mut scratch = Unroller::new(&aig);
+            scratch.builder_mut().set_partition(1);
+            scratch.assert_initial(0);
+            scratch.add_frame();
+            scratch.builder_mut().set_partition(3);
+            assert_eq!(scratch.lit(1, target), lit);
+            assert_eq!(&scratch.clauses()[clauses_at_1..], &cone.clauses[..]);
+            assert_eq!(scratch.num_vars(), cone.num_vars);
+            assert_eq!(scratch.frame_inputs(1), &inputs[..]);
+            assert!(cone.clauses.iter().all(|c| c.partition == 3));
+        }
     }
 
     #[test]
     fn owning_the_design_allows_the_borrow_to_end() {
         let u = {
             let aig = counter2();
-            let mut u = IncrementalUnroller::new(&aig);
+            let mut u = Unroller::shared(Arc::new(aig));
             u.assert_initial(0);
             u.add_frame();
             u

@@ -10,11 +10,10 @@
 //!   refutation proof (each clause remembers which `A_i` of
 //!   `Γ = {A_1, …, A_n}` it belongs to),
 //! * [`tseitin`] — encoding of combinational AIG cones,
-//! * [`unroll::Unroller`] — time-frame expansion of a sequential AIG with
-//!   per-frame variable maps,
-//! * [`incremental::IncrementalUnroller`] — the persistent variant whose
-//!   frames, variable maps and Tseitin caches survive across bounds,
-//!   emitting only delta clauses as the unrolling grows,
+//! * [`Unroller`] — time-frame expansion of a sequential AIG with
+//!   per-frame variable maps and Tseitin caches that persist across
+//!   bounds; [`incremental`] drains only the delta clauses as the
+//!   unrolling grows,
 //! * [`Shift`] — the variable relocation that splices a freshly encoded
 //!   frame-0 constraint in front of cached clauses,
 //! * [`bmc`] — the three BMC formulations of the paper (*bound-k*,
@@ -44,6 +43,5 @@ mod types;
 pub mod unroll;
 
 pub use bmc::{BmcCheck, BmcInstance};
-pub use incremental::IncrementalUnroller;
 pub use types::{Clause, Cnf, CnfBuilder, Lit, Shift, Var};
 pub use unroll::Unroller;

@@ -7,16 +7,20 @@
 //! controls the partition labels so that BMC formulas can be split into the
 //! `Γ_{1..n}` decomposition required by interpolation sequences.
 //!
-//! The frame machinery itself lives in the crate-private `FrameCore`,
-//! which is shared with the persistent [`crate::IncrementalUnroller`]: the
-//! borrowing `Unroller` is the right shape for one-shot instance
-//! construction, the owning incremental variant for caches that outlive
-//! any single bound.
+//! The same unroller serves one-shot instance construction and caches
+//! that outlive any single bound: frames, variable maps and Tseitin caches
+//! persist, so growing the unrolling only encodes the new frame (see
+//! [`crate::incremental`] for the delta drain and detached cones).  It
+//! borrows its design ([`Unroller::new`]) or shares it
+//! ([`Unroller::shared`]); either way a clone never deep-copies the
+//! design.
 
 use crate::tseitin::encode_cone;
 use crate::{Clause, Cnf, CnfBuilder, Lit};
 use aig::{Aig, AigNode, NodeId};
 use std::collections::HashMap;
+use std::ops::Deref;
+use std::sync::Arc;
 
 /// Per-frame variable maps.
 #[derive(Clone, Debug)]
@@ -45,226 +49,22 @@ impl Frame {
     }
 }
 
-/// The design-independent state of a time-frame expansion: the clause
-/// builder plus the per-frame variable maps and Tseitin caches.
-///
-/// Every operation takes the design as a parameter so the same core can be
-/// driven by the borrowing [`Unroller`] and by the owning
-/// [`crate::IncrementalUnroller`].
-#[derive(Clone, Debug, Default)]
-pub(crate) struct FrameCore {
-    builder: CnfBuilder,
-    frames: Vec<Frame>,
+/// The design an unroller encodes: borrowed, or shared so the unroller
+/// can outlive the caller's borrow.
+#[derive(Clone, Debug)]
+enum Design<'a> {
+    Borrowed(&'a Aig),
+    Shared(Arc<Aig>),
 }
 
-impl FrameCore {
-    /// Creates a core with a single frame (frame 0) whose latch variables
-    /// are freshly allocated.
-    pub(crate) fn new(aig: &Aig) -> FrameCore {
-        let mut core = FrameCore {
-            builder: CnfBuilder::new(),
-            frames: Vec::new(),
-        };
-        core.push_fresh_frame(aig);
-        core
-    }
+impl Deref for Design<'_> {
+    type Target = Aig;
 
-    fn push_fresh_frame(&mut self, aig: &Aig) {
-        let latch: Vec<Lit> = (0..aig.num_latches())
-            .map(|_| self.builder.new_lit())
-            .collect();
-        self.frames.push(Frame::fresh(aig, latch));
-    }
-
-    /// Encodes `lit` at `frame` the way a time-frame expansion whose last
-    /// frame is `frame`, untouched since its latch variables were
-    /// allocated, would: against a cache holding only those latch
-    /// variables, with fresh input variables, allocating from `first_var`,
-    /// in partition `partition`.  `self` is not modified; the returned
-    /// builder holds the cone's clauses.
-    pub(crate) fn detached_lit(
-        &self,
-        aig: &Aig,
-        frame: usize,
-        lit: aig::Lit,
-        first_var: u32,
-        partition: u32,
-    ) -> (CnfBuilder, Lit) {
-        let mut builder = CnfBuilder::starting_at(first_var);
-        builder.set_partition(partition);
-        let mut scratch = FrameCore {
-            builder,
-            frames: vec![Frame::fresh(aig, self.frames[frame].latch.clone())],
-        };
-        let lit = scratch.lit(aig, 0, lit);
-        (scratch.builder, lit)
-    }
-
-    pub(crate) fn num_frames(&self) -> usize {
-        self.frames.len()
-    }
-
-    pub(crate) fn builder_mut(&mut self) -> &mut CnfBuilder {
-        &mut self.builder
-    }
-
-    pub(crate) fn builder(&self) -> &CnfBuilder {
-        &self.builder
-    }
-
-    pub(crate) fn latch_lit(&self, frame: usize, latch: usize) -> Lit {
-        self.frames[frame].latch[latch]
-    }
-
-    pub(crate) fn latch_lits(&self, frame: usize) -> Vec<Lit> {
-        self.frames[frame].latch.clone()
-    }
-
-    pub(crate) fn input_lit(&mut self, aig: &Aig, frame: usize, input: usize) -> Lit {
-        if let Some(lit) = self.frames[frame].input[input] {
-            return lit;
+    fn deref(&self) -> &Aig {
+        match self {
+            Design::Borrowed(aig) => aig,
+            Design::Shared(aig) => aig,
         }
-        let lit = self.builder.new_lit();
-        self.frames[frame].input[input] = Some(lit);
-        self.frames[frame].cache.insert(aig.input_node(input), lit);
-        lit
-    }
-
-    pub(crate) fn lit(&mut self, aig: &Aig, frame: usize, lit: aig::Lit) -> Lit {
-        // Pre-allocate input leaves so the closure below never needs the
-        // full core mutably.
-        self.ensure_leaves(aig, frame, lit);
-        let f = &mut self.frames[frame];
-        let cache = &mut f.cache;
-        encode_cone(&mut self.builder, aig, lit, cache, &mut |_, id| {
-            // All leaves were pre-allocated by `ensure_leaves`.
-            unreachable!("leaf {id} not pre-allocated")
-        })
-    }
-
-    /// Walks the cone of `lit` and allocates SAT variables for any input
-    /// leaves not yet present in the frame cache.
-    fn ensure_leaves(&mut self, aig: &Aig, frame: usize, lit: aig::Lit) {
-        let mut stack = vec![lit.node()];
-        let mut seen = std::collections::HashSet::new();
-        let mut needed_inputs = Vec::new();
-        while let Some(id) = stack.pop() {
-            if !seen.insert(id) || self.frames[frame].cache.contains_key(&id) {
-                continue;
-            }
-            match aig.node(id) {
-                AigNode::And { left, right } => {
-                    stack.push(left.node());
-                    stack.push(right.node());
-                }
-                AigNode::Input { index } => needed_inputs.push(index),
-                AigNode::Latch { .. } | AigNode::Const => {}
-            }
-        }
-        for index in needed_inputs {
-            let _ = self.input_lit(aig, frame, index);
-        }
-    }
-
-    pub(crate) fn assert_initial(&mut self, aig: &Aig, frame: usize) {
-        for i in 0..aig.num_latches() {
-            let lit = self.latch_lit(frame, i);
-            let unit = if aig.init(i) { lit } else { !lit };
-            self.builder.add_unit(unit);
-        }
-    }
-
-    pub(crate) fn add_frame(&mut self, aig: &Aig) -> usize {
-        let prev = self.frames.len() - 1;
-        // Encode the next-state functions at the previous frame first.
-        let next_lits: Vec<Lit> = (0..aig.num_latches())
-            .map(|i| {
-                let next = aig.next(i);
-                self.lit(aig, prev, next)
-            })
-            .collect();
-        self.push_fresh_frame(aig);
-        let new_index = self.frames.len() - 1;
-        for (i, next_lit) in next_lits.into_iter().enumerate() {
-            let cur = self.latch_lit(new_index, i);
-            // cur <-> next_lit
-            self.builder.add_clause([!cur, next_lit]);
-            self.builder.add_clause([cur, !next_lit]);
-        }
-        new_index
-    }
-
-    pub(crate) fn add_frame_guarded(&mut self, aig: &Aig, guards: &[Option<Lit>]) -> usize {
-        assert_eq!(
-            guards.len(),
-            aig.num_latches(),
-            "one guard slot per latch is required"
-        );
-        let prev = self.frames.len() - 1;
-        let next_lits: Vec<Lit> = (0..aig.num_latches())
-            .map(|i| {
-                let next = aig.next(i);
-                self.lit(aig, prev, next)
-            })
-            .collect();
-        self.push_fresh_frame(aig);
-        let new_index = self.frames.len() - 1;
-        for (i, next_lit) in next_lits.into_iter().enumerate() {
-            let cur = self.latch_lit(new_index, i);
-            match guards[i] {
-                None => {
-                    self.builder.add_clause([!cur, next_lit]);
-                    self.builder.add_clause([cur, !next_lit]);
-                }
-                Some(guard) => {
-                    self.builder.add_clause([!guard, !cur, next_lit]);
-                    self.builder.add_clause([!guard, cur, !next_lit]);
-                }
-            }
-        }
-        new_index
-    }
-
-    pub(crate) fn assert_initial_guarded(
-        &mut self,
-        aig: &Aig,
-        frame: usize,
-        guards: &[Option<Lit>],
-    ) {
-        assert_eq!(
-            guards.len(),
-            aig.num_latches(),
-            "one guard slot per latch is required"
-        );
-        for (i, &guard) in guards.iter().enumerate() {
-            let lit = self.latch_lit(frame, i);
-            let unit = if aig.init(i) { lit } else { !lit };
-            match guard {
-                None => self.builder.add_unit(unit),
-                Some(guard) => self.builder.add_clause([!guard, unit]),
-            }
-        }
-    }
-
-    pub(crate) fn bad_lit(&mut self, aig: &Aig, frame: usize, index: usize) -> Lit {
-        let bad = aig.bad(index);
-        self.lit(aig, frame, bad)
-    }
-
-    pub(crate) fn assert_lit(&mut self, lit: Lit) {
-        self.builder.add_unit(lit);
-    }
-
-    pub(crate) fn into_cnf(self) -> Cnf {
-        self.builder.into_cnf()
-    }
-
-    pub(crate) fn clauses(&self) -> &[Clause] {
-        self.builder.clauses()
-    }
-
-    pub(crate) fn num_vars(&self) -> u32 {
-        self.builder.num_vars()
     }
 }
 
@@ -293,39 +93,58 @@ impl FrameCore {
 /// ```
 #[derive(Clone, Debug)]
 pub struct Unroller<'a> {
-    aig: &'a Aig,
-    core: FrameCore,
+    aig: Design<'a>,
+    builder: CnfBuilder,
+    frames: Vec<Frame>,
+    /// Clauses `0..drained` have already been handed to the consumer
+    /// (see [`Unroller::mark_drained`]).
+    pub(crate) drained: usize,
 }
 
 impl<'a> Unroller<'a> {
-    /// Creates an unroller with a single frame (frame 0) whose latch
-    /// variables are freshly allocated.
+    /// Creates an unroller of the borrowed design `aig` with a single
+    /// frame (frame 0) whose latch variables are freshly allocated.
     pub fn new(aig: &'a Aig) -> Unroller<'a> {
-        Unroller {
-            aig,
-            core: FrameCore::new(aig),
-        }
+        Unroller::over(Design::Borrowed(aig))
     }
 
     /// Returns the underlying design.
     pub fn aig(&self) -> &Aig {
-        self.aig
+        &self.aig
+    }
+
+    fn over(aig: Design<'a>) -> Unroller<'a> {
+        let mut unroller = Unroller {
+            aig,
+            builder: CnfBuilder::new(),
+            frames: Vec::new(),
+            drained: 0,
+        };
+        unroller.push_fresh_frame();
+        unroller
+    }
+
+    fn push_fresh_frame(&mut self) {
+        let latch: Vec<Lit> = (0..self.aig.num_latches())
+            .map(|_| self.builder.new_lit())
+            .collect();
+        self.frames.push(Frame::fresh(&self.aig, latch));
     }
 
     /// Number of frames created so far (at least 1).
     pub fn num_frames(&self) -> usize {
-        self.core.num_frames()
+        self.frames.len()
     }
 
     /// Gives mutable access to the clause builder (for partition control and
     /// extra clauses).
     pub fn builder_mut(&mut self) -> &mut CnfBuilder {
-        self.core.builder_mut()
+        &mut self.builder
     }
 
     /// Gives read access to the clause builder.
     pub fn builder(&self) -> &CnfBuilder {
-        self.core.builder()
+        &self.builder
     }
 
     /// Returns the SAT literal of latch `latch` at frame `frame`.
@@ -334,18 +153,32 @@ impl<'a> Unroller<'a> {
     ///
     /// Panics if the frame or latch index is out of range.
     pub fn latch_lit(&self, frame: usize, latch: usize) -> Lit {
-        self.core.latch_lit(frame, latch)
+        self.frames[frame].latch[latch]
     }
 
     /// Returns the SAT literals of every latch at frame `frame`.
     pub fn latch_lits(&self, frame: usize) -> Vec<Lit> {
-        self.core.latch_lits(frame)
+        self.frames[frame].latch.clone()
     }
 
     /// Returns (allocating on demand) the SAT literal of primary input
     /// `input` at frame `frame`.
     pub fn input_lit(&mut self, frame: usize, input: usize) -> Lit {
-        self.core.input_lit(self.aig, frame, input)
+        if let Some(lit) = self.frames[frame].input[input] {
+            return lit;
+        }
+        let lit = self.builder.new_lit();
+        self.frames[frame].input[input] = Some(lit);
+        self.frames[frame]
+            .cache
+            .insert(self.aig.input_node(input), lit);
+        lit
+    }
+
+    /// The SAT literals the primary inputs of frame `frame` have so far,
+    /// allocating none: an input no encoded cone reads has none.
+    pub fn frame_inputs(&self, frame: usize) -> &[Option<Lit>] {
+        &self.frames[frame].input
     }
 
     /// Encodes (or retrieves from the frame cache) the SAT literal of an AIG
@@ -354,13 +187,66 @@ impl<'a> Unroller<'a> {
     /// Clauses produced during the encoding are tagged with the builder's
     /// current partition.
     pub fn lit(&mut self, frame: usize, lit: aig::Lit) -> Lit {
-        self.core.lit(self.aig, frame, lit)
+        // Pre-allocate input leaves so the closure below never needs the
+        // frame's input map.
+        self.ensure_leaves(frame, lit);
+        let cache = &mut self.frames[frame].cache;
+        encode_cone(&mut self.builder, &self.aig, lit, cache, &mut |_, id| {
+            unreachable!("leaf {id} not pre-allocated")
+        })
+    }
+
+    /// Walks the cone of `lit` and allocates SAT variables for any input
+    /// leaves not yet present in the frame cache.
+    fn ensure_leaves(&mut self, frame: usize, lit: aig::Lit) {
+        let mut stack = vec![lit.node()];
+        let mut seen = std::collections::HashSet::new();
+        let mut needed_inputs = Vec::new();
+        while let Some(id) = stack.pop() {
+            if !seen.insert(id) || self.frames[frame].cache.contains_key(&id) {
+                continue;
+            }
+            match self.aig.node(id) {
+                AigNode::And { left, right } => {
+                    stack.push(left.node());
+                    stack.push(right.node());
+                }
+                AigNode::Input { index } => needed_inputs.push(index),
+                AigNode::Latch { .. } | AigNode::Const => {}
+            }
+        }
+        for index in needed_inputs {
+            let _ = self.input_lit(frame, index);
+        }
     }
 
     /// Asserts that frame `frame` is in the design's initial state (unit
     /// clauses on the latch variables, in the current partition).
     pub fn assert_initial(&mut self, frame: usize) {
-        self.core.assert_initial(self.aig, frame);
+        let unguarded = vec![None; self.aig.num_latches()];
+        self.assert_initial_guarded(frame, &unguarded);
+    }
+
+    /// Like [`Unroller::assert_initial`], but the reset-value constraint of
+    /// latch `i` is guarded by `guards[i]` when present.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `guards.len()` differs from the number of latches.
+    pub fn assert_initial_guarded(&mut self, frame: usize, guards: &[Option<Lit>]) {
+        assert_eq!(
+            guards.len(),
+            self.aig.num_latches(),
+            "one guard slot per latch is required"
+        );
+        for (i, &guard) in guards.iter().enumerate() {
+            let lit = self.latch_lit(frame, i);
+            let unit = if self.aig.init(i) { lit } else { !lit };
+            match guard {
+                None => self.builder.add_unit(unit),
+                Some(guard) => self.builder.add_clause([!guard, unit]),
+            }
+        }
     }
 
     /// Adds a new frame and emits the transition constraint
@@ -368,7 +254,8 @@ impl<'a> Unroller<'a> {
     ///
     /// Returns the index of the new frame.
     pub fn add_frame(&mut self) -> usize {
-        self.core.add_frame(self.aig)
+        let unguarded = vec![None; self.aig.num_latches()];
+        self.add_frame_guarded(&unguarded)
     }
 
     /// Like [`Unroller::add_frame`], but the transition constraint of latch
@@ -386,43 +273,108 @@ impl<'a> Unroller<'a> {
     ///
     /// Panics if `guards.len()` differs from the number of latches.
     pub fn add_frame_guarded(&mut self, guards: &[Option<Lit>]) -> usize {
-        self.core.add_frame_guarded(self.aig, guards)
-    }
-
-    /// Like [`Unroller::assert_initial`], but the reset-value constraint of
-    /// latch `i` is guarded by `guards[i]` when present.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `guards.len()` differs from the number of latches.
-    pub fn assert_initial_guarded(&mut self, frame: usize, guards: &[Option<Lit>]) {
-        self.core.assert_initial_guarded(self.aig, frame, guards);
+        assert_eq!(
+            guards.len(),
+            self.aig.num_latches(),
+            "one guard slot per latch is required"
+        );
+        let prev = self.frames.len() - 1;
+        // Encode the next-state functions at the previous frame first.
+        let next_lits: Vec<Lit> = (0..self.aig.num_latches())
+            .map(|i| {
+                let next = self.aig.next(i);
+                self.lit(prev, next)
+            })
+            .collect();
+        self.push_fresh_frame();
+        let new_index = self.frames.len() - 1;
+        for (i, next_lit) in next_lits.into_iter().enumerate() {
+            let cur = self.latch_lit(new_index, i);
+            // cur <-> next_lit, when the guard holds.
+            match guards[i] {
+                None => {
+                    self.builder.add_clause([!cur, next_lit]);
+                    self.builder.add_clause([cur, !next_lit]);
+                }
+                Some(guard) => {
+                    self.builder.add_clause([!guard, !cur, next_lit]);
+                    self.builder.add_clause([!guard, cur, !next_lit]);
+                }
+            }
+        }
+        new_index
     }
 
     /// Encodes bad-state literal `index` of the design at frame `frame`.
     pub fn bad_lit(&mut self, frame: usize, index: usize) -> Lit {
-        self.core.bad_lit(self.aig, frame, index)
+        let bad = self.aig.bad(index);
+        self.lit(frame, bad)
     }
 
     /// Asserts an already-encoded SAT literal as a unit clause in the
     /// current partition.
     pub fn assert_lit(&mut self, lit: Lit) {
-        self.core.assert_lit(lit);
+        self.builder.add_unit(lit);
+    }
+
+    /// Encodes `lit` at `frame` as an unrolling whose last frame is
+    /// `frame`, untouched since its latch variables were allocated, would,
+    /// without touching this unroller: against a frame cache that holds
+    /// only the frame's latch variables, with fresh input variables
+    /// numbered from `first_var`, in partition `partition`.  Returns the
+    /// cone's clauses (`num_vars` is the next free variable), the literal
+    /// and the cone's input literals (indexed like the design's inputs).
+    ///
+    /// The exact-k target of a cached unrolling is encoded this way: a
+    /// scratch build encodes `bad(k)` on a fresh last frame, while the
+    /// cache may already have filled that frame with next-state cones.
+    pub fn detached_lit(
+        &self,
+        frame: usize,
+        lit: aig::Lit,
+        first_var: u32,
+        partition: u32,
+    ) -> (Cnf, Lit, Vec<Option<Lit>>) {
+        let mut builder = CnfBuilder::starting_at(first_var);
+        builder.set_partition(partition);
+        let latch = self.frames[frame].latch.clone();
+        let mut scratch = Unroller {
+            frames: vec![Frame::fresh(&self.aig, latch)],
+            aig: self.aig.clone(),
+            builder,
+            drained: 0,
+        };
+        let lit = scratch.lit(0, lit);
+        let inputs = scratch.frames.swap_remove(0).input;
+        (scratch.builder.into_cnf(), lit, inputs)
     }
 
     /// Consumes the unroller and returns the accumulated CNF.
     pub fn into_cnf(self) -> Cnf {
-        self.core.into_cnf()
+        self.builder.into_cnf()
     }
 
-    /// Returns a snapshot of the clauses accumulated so far.
+    /// Every clause emitted so far, in emission order.
     pub fn clauses(&self) -> &[Clause] {
-        self.core.clauses()
+        self.builder.clauses()
+    }
+
+    /// Total clauses emitted so far.
+    pub fn num_clauses(&self) -> usize {
+        self.builder.num_clauses()
     }
 
     /// Returns the number of SAT variables allocated so far.
     pub fn num_vars(&self) -> u32 {
-        self.core.num_vars()
+        self.builder.num_vars()
+    }
+}
+
+impl Unroller<'static> {
+    /// Creates an unroller that shares the design `aig`, so it can outlive
+    /// any borrow (a per-model cache); clones share it too.
+    pub fn shared(aig: Arc<Aig>) -> Unroller<'static> {
+        Unroller::over(Design::Shared(aig))
     }
 }
 

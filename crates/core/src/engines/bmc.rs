@@ -6,17 +6,16 @@
 //! *exact-k*, *exact-assume-k*).
 //!
 //! There is one BMC loop, [`crate::multi::bmc`]: one persistent
-//! [`cnf::IncrementalUnroller`] and one long-lived
+//! [`cnf::Unroller`] and one long-lived
 //! [`sat::IncrementalSolver`] per run, extended by one frame per bound,
 //! with each bound's target as a solve assumption, so the encoding work
 //! of a `max_bound = K` run is `O(K)` and learned clauses survive from
 //! bound to bound.  Single-property BMC ([`Engine::Bmc`](crate::Engine::Bmc))
 //! is that loop over one property, inside a `BMC.run` span.
 
-use crate::certificate::Certificate;
 use crate::engines::run::EngineRun;
 use crate::engines::CancelToken;
-use crate::{EngineResult, Options, PropertyStatus};
+use crate::{EngineResult, Options};
 use aig::Aig;
 
 /// Runs BMC on bad-state property `bad_index`, increasing the bound until
@@ -29,20 +28,13 @@ pub(crate) fn run(
 ) -> EngineResult {
     let (mut run, _span) = EngineRun::new("BMC.run", aig, &[], options, cancel);
     let mut statuses = crate::multi::bmc::check(&mut run, aig, &[bad_index], None);
-    let status = statuses.pop().expect("one status per property");
-    let certificate = match &status {
-        PropertyStatus::Falsified {
-            cex: Some(trace), ..
-        } => Some(Certificate::Trace(trace.clone())),
-        _ => None,
-    };
-    run.finish(status.verdict(), certificate)
+    run.finish_status(statuses.pop().expect("one status per property"))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Engine, StopReason, Verdict};
+    use crate::{Certificate, Engine, StopReason, Verdict};
     use aig::builder::{latch_word, word_equals_const, word_increment};
     use cnf::BmcCheck;
     use sat::{SolveResult, Solver};

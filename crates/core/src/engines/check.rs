@@ -1,4 +1,5 @@
-//! One bounded check, as a fresh solver loads it.
+//! One bounded check, as a fresh solver loads it, and the interpolants
+//! read off its refutation.
 //!
 //! A check of the interpolation engines is assembled from cached
 //! encodings instead of being rebuilt: a freshly encoded frame-0
@@ -8,9 +9,48 @@
 //! loads those slices into a fresh governed solver in one bulk pass,
 //! through a single reusable relocation buffer, and returns the solver so
 //! the caller interpolates straight from its proof
-//! ([`sat::Solver::proof_view`]).
+//! ([`sat::Solver::proof_view`]) with [`interpolants`].
 
+use crate::state::StateSpace;
+use crate::EngineStats;
 use cnf::{Clause, Shift};
+use itp::InterpolationContext;
+use sat::ProofView;
+use std::collections::HashMap;
+
+/// The interpolants at the partition cuts `cuts` of a refutation, read
+/// in place: the engines' one interpolant reader.  Every variable shared
+/// across a cut is a latch variable of the refuted check: `frame_latches`
+/// lists them frame by frame, numbered like the check, and `latch_map`
+/// takes a latch of the checked model to its latch of `space`.  Each
+/// interpolant counts in `stats.interpolants`.
+pub(crate) fn interpolants(
+    proof: ProofView<'_>,
+    cuts: &[u32],
+    frame_latches: &[Vec<cnf::Lit>],
+    latch_map: &[usize],
+    space: &mut StateSpace,
+    stats: &mut EngineStats,
+) -> Result<Vec<aig::Lit>, String> {
+    let mut var_to_latch: HashMap<u32, usize> = HashMap::new();
+    for lits in frame_latches {
+        for (model_latch, lit) in lits.iter().enumerate() {
+            var_to_latch.insert(lit.var().index(), latch_map[model_latch]);
+        }
+    }
+    let latch_lits: Vec<aig::Lit> = (0..space.num_latches()).map(|i| space.latch(i)).collect();
+    let ctx = InterpolationContext::new(proof).map_err(|e| e.to_string())?;
+    let itps = ctx
+        .sequence_for_cuts(cuts, space.manager_mut(), &|_, v| {
+            let latch = *var_to_latch
+                .get(&v.index())
+                .expect("shared interpolant variables are frame latch variables");
+            latch_lits[latch]
+        })
+        .map_err(|e| e.to_string())?;
+    stats.interpolants += itps.len() as u64;
+    Ok(itps)
+}
 
 /// A bounded check as it is loaded: `prefix` as it stands, then `body`
 /// and `tail` relocated by `shift`.

@@ -8,16 +8,14 @@
 //! proves the property or a satisfiable instance forces the bound to grow.
 
 use crate::certificate::{Certificate, InvariantCert, InvariantCone};
-use crate::engines::check::Check;
+use crate::engines::check::{interpolants, Check};
 use crate::engines::run::{model_values, EngineRun};
 use crate::engines::CancelToken;
 use crate::state::{set_constraint, StateSpace};
-use crate::{EngineResult, EngineStats, Options, StopReason, Verdict};
+use crate::{EngineResult, Options, StopReason, Verdict};
 use aig::Aig;
 use cnf::{Cnf, Shift, Unroller};
-use itp::InterpolationContext;
-use sat::{ProofView, SolveResult};
-use std::collections::HashMap;
+use sat::SolveResult;
 use std::time::Instant;
 use telemetry::ArgValue;
 
@@ -35,7 +33,7 @@ struct Body {
     /// Frame-by-frame primary-input variables (cycles `0..=bound`), so a
     /// satisfiable check from the reset states can be read back as a
     /// replayable counterexample trace.
-    frame_inputs: Vec<Vec<cnf::Lit>>,
+    frame_inputs: Vec<Vec<Option<cnf::Lit>>>,
 }
 
 impl Body {
@@ -56,9 +54,10 @@ impl Body {
         // instance is built never changes its satisfiability or its proofs.
         let frame_inputs = (0..=bound)
             .map(|f| {
-                (0..design.num_inputs())
-                    .map(|i| unroller.input_lit(f, i))
-                    .collect()
+                for input in 0..design.num_inputs() {
+                    unroller.input_lit(f, input);
+                }
+                unroller.frame_inputs(f).to_vec()
             })
             .collect();
         Body {
@@ -130,32 +129,6 @@ fn build_bound_instance(
     (unroller.into_cnf(), frame1_latches)
 }
 
-/// The frame-1 interpolant of a refutation read in place, over the
-/// frame-1 latch variables `frame1_latches` of its check.
-fn extract_interpolant(
-    proof: ProofView<'_>,
-    frame1_latches: impl Iterator<Item = cnf::Lit>,
-    space: &mut StateSpace,
-    stats: &mut EngineStats,
-) -> Result<aig::Lit, String> {
-    let var_to_latch: HashMap<u32, usize> = frame1_latches
-        .enumerate()
-        .map(|(latch, lit)| (lit.var().index(), latch))
-        .collect();
-    let latch_lits: Vec<aig::Lit> = (0..space.num_latches()).map(|i| space.latch(i)).collect();
-    let ctx = InterpolationContext::new(proof).map_err(|e| e.to_string())?;
-    let itp = ctx
-        .interpolant(1, space.manager_mut(), &|_, v| {
-            let latch = *var_to_latch
-                .get(&v.index())
-                .expect("shared interpolant variables are frame-1 latch variables");
-            latch_lits[latch]
-        })
-        .map_err(|e| e.to_string())?;
-    stats.interpolants += 1;
-    Ok(itp)
-}
-
 /// Runs standard interpolation on bad-state property `bad_index`: the
 /// bound loop, the inner fixed-point iteration and each refutation stop
 /// soon after `cancel` is cancelled or the budget runs out.
@@ -166,8 +139,8 @@ pub(crate) fn run(
     cancel: &CancelToken,
 ) -> EngineResult {
     let (mut run, _span) = EngineRun::new("ITP.run", design, &[], options, cancel);
-    if let Some((verdict, cert)) = run.depth0(design, bad_index) {
-        return run.finish(verdict, cert);
+    if let Some(status) = run.depth0(design, bad_index) {
+        return run.finish_status(status);
     }
     let telemetry = run.telemetry();
     let mut space = StateSpace::new(design.num_latches(), &run);
@@ -218,15 +191,18 @@ pub(crate) fn run(
                     ("j", ArgValue::U64(j as u64)),
                 ]
             });
-            let extracted = extract_interpolant(
+            let frame1: Vec<cnf::Lit> = body.frame1_latches.iter().map(|&l| shift.lit(l)).collect();
+            let extracted = interpolants(
                 solver.proof_view().expect("unsat result has a proof"),
-                body.frame1_latches.iter().map(|&lit| shift.lit(lit)),
+                &[1],
+                &[frame1],
+                &identity,
                 &mut space,
                 &mut run.stats,
             );
             interpolate.end();
             let itp = match extracted {
-                Ok(itp) => itp,
+                Ok(mut itps) => itps.remove(0),
                 Err(reason) => {
                     let verdict = Verdict::Inconclusive {
                         reason: StopReason::other(reason),

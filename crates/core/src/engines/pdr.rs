@@ -55,18 +55,19 @@
 //!
 //! All loops also poll a [`CancelToken`], making the engine a portfolio
 //! citizen: a cancelled run stops within one bounded SAT query and
-//! reports [`Verdict::Inconclusive`] with reason `"cancelled"`.
+//! reports [`Verdict::Inconclusive`](crate::Verdict::Inconclusive) with
+//! reason `"cancelled"`.
 
 mod frames;
 mod generalize;
 mod obligations;
 
-use crate::certificate::{Certificate, InvariantCert};
+use crate::certificate::InvariantCert;
 use crate::engines::run::{solve, EngineRun};
 use crate::engines::{pool, CancelToken};
 use crate::multi::{RetireBoard, StatusSlots};
 use crate::state::Interrupted;
-use crate::{EngineResult, MultiResult, Options, PropertyStatus, Verdict};
+use crate::{EngineResult, MultiResult, Options, PropertyStatus, StopReason};
 use aig::Aig;
 use cnf::{Cnf, Lit, Unroller};
 use frames::{Cube, FrameTrace};
@@ -81,10 +82,8 @@ use telemetry::ArgValue;
 /// solvers for a parallel pass.
 const PAR_MIN_ITEMS: usize = 4;
 
-/// Runs PDR on bad-state property `bad_index` of `aig`: the outer loop,
-/// the blocking phase, propagation, generalization and every SAT query
-/// stop soon after `cancel` is cancelled or the wall-clock budget runs out
-/// (the deadline reaches the solvers through the same interrupt flag).
+/// Runs PDR on bad-state property `bad_index` of `aig`: [`check`] over
+/// that one property, inside a `PDR.run` span.
 pub(crate) fn run(
     aig: &Aig,
     bad_index: usize,
@@ -92,32 +91,15 @@ pub(crate) fn run(
     cancel: &CancelToken,
 ) -> EngineResult {
     let (mut run, _span) = EngineRun::new("PDR.run", aig, &[], options, cancel);
-    if let Some((verdict, certificate)) = run.depth0(aig, bad_index) {
-        return run.finish(verdict, certificate);
-    }
-    Pdr::new(aig, &[bad_index], run).run()
+    let mut statuses = check(&mut run, aig, &[bad_index], None);
+    run.finish_status(statuses.pop().expect("one status per property"))
 }
 
-/// Amortized multi-property PDR: one frame trace and one per-frame solver
-/// family serve every property in `props` (see [`crate::multi`]).
-///
-/// Frame lemmas are facts about *reachability*, not about any particular
-/// property, so cubes blocked while working on one property remain valid
-/// for all the others; the shared transition template carries every
-/// property's bad cone at frame 0.  The outer loop is the standard
-/// level-by-level major loop, with each level's blocking phase run once
-/// per live property (in index order):
-///
-/// * an obligation chain reaching frame 0 falsifies exactly that property
-///   at the level's (structurally minimal) depth and retires it — its
-///   blocked cubes stay behind for the survivors;
-/// * a converged frame after a level in which every live property's
-///   frontier was cleaned is an inductive invariant excluding all of
-///   their bad states: every surviving property is proved at once.
-///
-/// With a [`RetireBoard`], conclusive statuses are published and
-/// externally-decided properties are dropped from the live set (the
-/// scheduler's per-property cancellation).
+/// Amortized multi-property PDR: [`check`] over the group `props`, inside
+/// a `PDR.multi` span (see [`crate::multi`]).  With a [`RetireBoard`],
+/// conclusive statuses are published and externally-decided properties
+/// are dropped from the live set (the scheduler's per-property
+/// cancellation).
 pub(crate) fn verify_all_with_cancel(
     aig: &Aig,
     props: &[usize],
@@ -125,50 +107,67 @@ pub(crate) fn verify_all_with_cancel(
     cancel: &CancelToken,
     board: Option<&RetireBoard>,
 ) -> MultiResult {
-    let telemetry = &options.telemetry;
     let props_arg = [("props", props.len() as u64)];
-    let (run, _span) = EngineRun::new("PDR.multi", aig, &props_arg, options, cancel);
-    let mut statuses = StatusSlots::new(props.len(), board, telemetry.clone());
-    let mut pdr = Pdr::new(aig, props, run);
-    let finish =
-        |pdr: Pdr<'_>, statuses: StatusSlots<'_>| pdr.run.finish_all(statuses.into_statuses());
+    let (mut run, _span) = EngineRun::new("PDR.multi", aig, &props_arg, options, cancel);
+    let statuses = check(&mut run, aig, props, board);
+    run.finish_all(statuses)
+}
 
-    // Depth 0 per property, answered by the init solver (`I ∧ T` plus
-    // every bad cone): equisatisfiable with the per-property check.
-    for i in 0..props.len() {
+/// The PDR loop: decides the properties `props` of `aig` within `run` on
+/// one frame trace and one per-frame solver family; `statuses[i]`
+/// reports on property `props[i]`.
+///
+/// Frame lemmas are facts about *reachability*, not about any particular
+/// property, so cubes blocked while working on one property remain valid
+/// for all the others; the shared transition template carries every
+/// property's bad cone at frame 0.  Depth 0 is [`EngineRun::depth0`] per
+/// property; then the standard level-by-level IC3 major loop extends the
+/// trace one frame, runs the blocking phase once per live property (in
+/// index order), propagates clauses forward and detects the fixpoint:
+///
+/// * an obligation chain reaching frame 0 falsifies exactly that property
+///   at the level's (structurally minimal) depth and retires it — its
+///   blocked cubes stay behind for the survivors;
+/// * a converged frame after a level in which every live property's
+///   frontier was cleaned is an inductive invariant excluding all of
+///   their bad states: every surviving property is proved at once.
+pub(crate) fn check(
+    run: &mut EngineRun<'_>,
+    aig: &Aig,
+    props: &[usize],
+    board: Option<&RetireBoard>,
+) -> Vec<PropertyStatus> {
+    let options = run.options;
+    let telemetry = &options.telemetry;
+    let mut statuses = StatusSlots::new(props.len(), board, telemetry.clone());
+    for (i, &prop) in props.iter().enumerate() {
         if statuses.yield_if_retired(i, 0) {
             continue;
         }
-        let bad0 = pdr.bads0[i];
-        let result = solve(&mut pdr.solvers[0], &[bad0], &mut pdr.run.stats, telemetry);
-        match result {
-            SolveResult::Sat => {
-                // The init solver's model fixes the frame-0 inputs that
-                // fire the bad cone from the (unique) initial state: a
-                // one-frame replayable trace.
-                let cex = options
-                    .certificates
-                    .then(|| vec![pdr.model_input_values(0)]);
-                statuses.decide(i, PropertyStatus::Falsified { depth: 0, cex });
+        match run.depth0(aig, prop) {
+            None => {}
+            Some(PropertyStatus::Inconclusive { reason, .. }) => {
+                statuses.give_up(reason, 0);
+                return statuses.into_statuses();
             }
-            SolveResult::Unsat => {}
-            SolveResult::Interrupted => {
-                statuses.give_up(pdr.run.stop_reason(), 0);
-                return finish(pdr, statuses);
-            }
+            Some(status) => statuses.decide(i, status),
         }
     }
+    if statuses.all_decided() {
+        return statuses.into_statuses();
+    }
 
+    let mut pdr = Pdr::new(aig, props, run);
     for level in 1..=options.max_bound {
         let _level = telemetry.span_args("level", || vec![("k", ArgValue::U64(level as u64))]);
         pdr.run.set_bound(level);
         statuses.sync_board(level - 1);
         let live = statuses.live();
         if live.is_empty() {
-            return finish(pdr, statuses);
+            return statuses.into_statuses();
         }
         pdr.extend();
-        for i in live {
+        for &i in &live {
             // A property the other backend decided mid-level is recorded
             // as yielded, so the convergence sweep below can never
             // misreport it as proved — its frontier was not cleaned.
@@ -181,13 +180,13 @@ pub(crate) fn verify_all_with_cancel(
                 }
                 Phase::Stopped => {
                     statuses.give_up(pdr.run.stop_reason(), level - 1);
-                    return finish(pdr, statuses);
+                    return statuses.into_statuses();
                 }
                 Phase::Done => {}
             }
         }
         if statuses.all_decided() {
-            return finish(pdr, statuses);
+            return statuses.into_statuses();
         }
         if let Some(frame) = pdr.propagate() {
             // The converged frame is inductive and clean of every still-
@@ -196,31 +195,28 @@ pub(crate) fn verify_all_with_cancel(
             // and one shared invariant certificate covers them all.
             let cert = options.certificates.then(|| {
                 let _emit = telemetry.span("certificate.emit");
-                pdr.invariant(frame)
-            });
-            let cert = cert.map(|mut inv| {
+                let mut inv = pdr.invariant(frame);
                 pdr.run.stats.cert_clauses_subsumed += inv.compress() as u64;
                 Arc::new(inv)
             });
             for i in statuses.live() {
-                statuses.decide(
-                    i,
-                    PropertyStatus::Proved {
-                        k_fp: level,
-                        j_fp: frame,
-                        cert: cert.clone(),
-                    },
-                );
+                let cert = cert.clone();
+                let status = PropertyStatus::Proved {
+                    k_fp: level,
+                    j_fp: frame,
+                    cert,
+                };
+                statuses.decide(i, status);
             }
-            return finish(pdr, statuses);
+            return statuses.into_statuses();
         }
         if pdr.run.should_stop() {
             statuses.give_up(pdr.run.stop_reason(), level);
-            return finish(pdr, statuses);
+            return statuses.into_statuses();
         }
     }
-    statuses.give_up(crate::types::StopReason::BoundExhausted, options.max_bound);
-    finish(pdr, statuses)
+    statuses.give_up(StopReason::BoundExhausted, options.max_bound);
+    statuses.into_statuses()
 }
 
 /// Outcome of one relative-induction query.
@@ -253,10 +249,10 @@ enum Phase {
 }
 
 /// The PDR engine state shared by the loop and the generalization module.
-struct Pdr<'a> {
+struct Pdr<'r, 'a> {
     options: &'a Options,
     /// The run: counters, budget, stop rule and solver factory.
-    run: EngineRun<'a>,
+    run: &'r mut EngineRun<'a>,
     /// Worker threads for the parallel frame phases (1 = sequential).
     threads: usize,
     /// The (unique) initial state, one value per latch.
@@ -269,8 +265,7 @@ struct Pdr<'a> {
     latch1: Vec<Lit>,
     /// Primary-input variables of frame 0.
     input0: Vec<Lit>,
-    /// The bad literals at frame 0, one per verified property (a single
-    /// property for [`verify`], the whole group for `verify_all`).
+    /// The bad literals at frame 0, one per verified property.
     bads0: Vec<Lit>,
     latch_of_var0: HashMap<u32, usize>,
     latch_of_var1: HashMap<u32, usize>,
@@ -290,8 +285,8 @@ struct Pdr<'a> {
     paths: Vec<(Vec<bool>, Option<u32>)>,
 }
 
-impl<'a> Pdr<'a> {
-    fn new(aig: &'a Aig, bad_indices: &[usize], mut run: EngineRun<'a>) -> Pdr<'a> {
+impl<'r, 'a> Pdr<'r, 'a> {
+    fn new(aig: &Aig, bad_indices: &[usize], run: &'r mut EngineRun<'a>) -> Pdr<'r, 'a> {
         let encode_start = Instant::now();
         let mut unroller = Unroller::new(aig);
         for input in 0..aig.num_inputs() {
@@ -349,56 +344,6 @@ impl<'a> Pdr<'a> {
             paths: Vec::new(),
             run,
         }
-    }
-
-    /// The standard IC3 major loop: extend the trace one frame, block
-    /// every frontier bad state, propagate clauses forward, detect the
-    /// fixpoint.
-    fn run(mut self) -> EngineResult {
-        for level in 1..=self.options.max_bound {
-            let _level = self
-                .options
-                .telemetry
-                .span_args("level", || vec![("k", ArgValue::U64(level as u64))]);
-            self.run.set_bound(level);
-            self.extend();
-            match self.blocking_phase(0) {
-                Phase::Falsified { depth, trace } => {
-                    let certificate = trace.map(Certificate::Trace);
-                    return self.run.finish(Verdict::Falsified { depth }, certificate);
-                }
-                Phase::Stopped => return self.run.give_up(level - 1),
-                Phase::Done => {}
-            }
-            if let Some(frame) = self.propagate() {
-                let certificate = self.options.certificates.then(|| {
-                    let _emit = self.options.telemetry.span("certificate.emit");
-                    self.invariant(frame)
-                });
-                let certificate = certificate.map(|mut inv| {
-                    self.run.stats.cert_clauses_subsumed += inv.compress() as u64;
-                    Certificate::Invariant(inv)
-                });
-                return self.run.finish(
-                    Verdict::Proved {
-                        k_fp: level,
-                        j_fp: frame,
-                    },
-                    certificate,
-                );
-            }
-            if self.run.should_stop() {
-                return self.run.give_up(level);
-            }
-        }
-        let bound_reached = self.options.max_bound;
-        self.run.finish(
-            Verdict::Inconclusive {
-                reason: crate::types::StopReason::BoundExhausted,
-                bound_reached,
-            },
-            None,
-        )
     }
 
     /// Exports the converged frame `F_frame` as an inductive-invariant
@@ -473,11 +418,9 @@ impl<'a> Pdr<'a> {
                     return Phase::Stopped;
                 }
                 if obligation.frame == 0 {
-                    // Without push-forward every chain satisfies
-                    // `frame + depth = level`, which is what makes the
-                    // reported depths minimal; a forwarded chain reaches
-                    // frame 0 with a real but possibly longer depth.
-                    debug_assert!(self.options.push_obligations || obligation.depth == level);
+                    // Every chain satisfies `frame + depth = level`, which
+                    // is what makes the reported depths minimal.
+                    debug_assert_eq!(obligation.depth, level);
                     report(&self.options.telemetry, obligations_processed);
                     let trace = self
                         .options
@@ -492,17 +435,6 @@ impl<'a> Pdr<'a> {
                     Query::Blocked(core) => {
                         let lemma = generalize::generalize(self, obligation.frame, core);
                         self.add_lemma(obligation.frame, lemma);
-                        // Push-forward: the cube's states stay `depth`
-                        // transitions from bad, so re-examining it one
-                        // frame later eagerly strengthens the trace.
-                        if self.options.push_obligations && obligation.frame < level {
-                            self.obligations.push(Obligation {
-                                frame: obligation.frame + 1,
-                                depth: obligation.depth,
-                                cube: obligation.cube,
-                                path: obligation.path,
-                            });
-                        }
                     }
                     Query::Predecessor(cube, inputs) => {
                         let path = self.push_path(inputs, Some(obligation.path));
@@ -916,16 +848,6 @@ impl<'a> Pdr<'a> {
         (state, inputs)
     }
 
-    /// Reads the frame-0 input values of the model of the last satisfiable
-    /// query on `solvers[index]`.
-    fn model_input_values(&self, index: usize) -> Vec<bool> {
-        let solver = &self.solvers[index];
-        self.input0
-            .iter()
-            .map(|&lit| solver.lit_value(lit).unwrap_or(false))
-            .collect()
-    }
-
     /// Decodes a model's input literals (as produced by
     /// [`Self::model_state_and_inputs`]) into plain boolean values.
     fn input_values_of(&self, inputs: &[Lit]) -> Vec<bool> {
@@ -1005,6 +927,8 @@ impl<'a> Pdr<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::certificate::Certificate;
+    use crate::Verdict;
     use aig::builder::word_equals_const;
     use std::time::Duration;
     use workloads::counter::modular as modular_counter;
@@ -1139,46 +1063,6 @@ mod tests {
             let again = verify(&aig, 0, &options().with_threads(threads));
             assert_eq!(reference.verdict, again.verdict, "threads = {threads}");
         }
-    }
-
-    #[test]
-    fn push_forward_keeps_verdict_kinds() {
-        // Options::push_obligations is an A/B switch: verdict kinds must
-        // be identical on and off, and the default (off) reports minimal
-        // counterexample depths.  A forwarded chain may witness a longer
-        // (but still real) counterexample.
-        for (modulus, bad_at) in [(6u64, 7u64), (6, 3), (10, 9), (14, 15), (14, 6)] {
-            let aig = modular_counter(4, modulus, bad_at);
-            let off = verify(&aig, 0, &options());
-            let on = verify(&aig, 0, &options().with_push_obligations(true));
-            assert_eq!(
-                off.verdict.is_proved(),
-                on.verdict.is_proved(),
-                "modulus={modulus} bad_at={bad_at}: {} vs {}",
-                off.verdict,
-                on.verdict
-            );
-            if let Verdict::Falsified { depth: minimal } = off.verdict {
-                assert_eq!(minimal, bad_at as usize, "off must stay minimal");
-                match on.verdict {
-                    Verdict::Falsified { depth } => assert!(
-                        depth >= minimal,
-                        "push-forward counterexamples are real, so never shorter"
-                    ),
-                    ref other => panic!("expected a counterexample, got {other}"),
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn push_forward_default_is_off() {
-        assert!(!Options::default().push_obligations);
-        assert!(
-            Options::default()
-                .with_push_obligations(true)
-                .push_obligations
-        );
     }
 
     #[test]

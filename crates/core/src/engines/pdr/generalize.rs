@@ -28,7 +28,7 @@ const MAX_CTGS: usize = 3;
 
 /// Strengthens the lemma `¬seed` (already blocked at `frame`) by dropping
 /// as many literals as relative induction allows.
-pub(super) fn generalize(pdr: &mut Pdr<'_>, frame: usize, seed: Cube) -> Cube {
+pub(super) fn generalize(pdr: &mut Pdr<'_, '_>, frame: usize, seed: Cube) -> Cube {
     if pdr.threads > 1 && seed.len() >= PAR_MIN_ITEMS {
         parallel_down(pdr, frame, seed)
     } else {
@@ -37,7 +37,7 @@ pub(super) fn generalize(pdr: &mut Pdr<'_>, frame: usize, seed: Cube) -> Cube {
 }
 
 /// The classic sequential MIC loop with CTG handling.
-fn sequential_down(pdr: &mut Pdr<'_>, frame: usize, seed: Cube) -> Cube {
+fn sequential_down(pdr: &mut Pdr<'_, '_>, frame: usize, seed: Cube) -> Cube {
     let mut cube = seed;
     let mut index = 0;
     while index < cube.len() && cube.len() > 1 {
@@ -61,7 +61,7 @@ fn sequential_down(pdr: &mut Pdr<'_>, frame: usize, seed: Cube) -> Cube {
 ///
 /// Each adopted cube is a strict sub-cube of its predecessor, so the loop
 /// terminates after at most `seed.len()` rounds.
-fn parallel_down(pdr: &mut Pdr<'_>, frame: usize, seed: Cube) -> Cube {
+fn parallel_down(pdr: &mut Pdr<'_, '_>, frame: usize, seed: Cube) -> Cube {
     let mut cube = seed;
     while cube.len() > 1 {
         if pdr.run.should_stop() {
@@ -80,7 +80,7 @@ fn parallel_down(pdr: &mut Pdr<'_>, frame: usize, seed: Cube) -> Cube {
 /// Attempts to show `cube` unreachable relative to `F_{frame-1}`,
 /// dispatching up to [`MAX_CTGS`] counterexamples-to-generalization along
 /// the way.  Returns the core-shrunk blocked cube on success.
-fn try_block(pdr: &mut Pdr<'_>, frame: usize, cube: Cube) -> Option<Cube> {
+fn try_block(pdr: &mut Pdr<'_, '_>, frame: usize, cube: Cube) -> Option<Cube> {
     let mut ctgs = 0;
     loop {
         if cube.is_empty() || cube.contains_state(&pdr.init) || pdr.run.should_stop() {
@@ -111,7 +111,7 @@ fn try_block(pdr: &mut Pdr<'_>, frame: usize, cube: Cube) -> Option<Cube> {
 
 /// Returns the highest frame (at least `from`, at most the frontier) at
 /// which `cube` is still relatively inductive.
-fn push_lemma_up(pdr: &mut Pdr<'_>, from: usize, cube: &Cube) -> usize {
+fn push_lemma_up(pdr: &mut Pdr<'_, '_>, from: usize, cube: &Cube) -> usize {
     let mut at = from;
     while at < pdr.frames.level() {
         match pdr.relative_induction(at + 1, cube) {

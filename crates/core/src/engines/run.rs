@@ -21,7 +21,7 @@ use crate::{EngineResult, EngineStats, MultiResult, Options, PropertyStatus, Sto
 use aig::Aig;
 use cnf::{Clause, Cnf, Lit};
 use sat::{IncrementalSolver, SolveResult, Solver};
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 use telemetry::{ArgValue, Span, Telemetry};
 
@@ -141,6 +141,20 @@ impl<'a> EngineRun<'a> {
         )
     }
 
+    /// Ends a single-property run with the status its loop decided; the
+    /// status's evidence becomes the certificate.
+    pub fn finish_status(self, status: PropertyStatus) -> EngineResult {
+        let verdict = status.verdict();
+        let certificate = match status {
+            PropertyStatus::Proved { cert, .. } => {
+                cert.map(|inv| Certificate::Invariant(Arc::unwrap_or_clone(inv)))
+            }
+            PropertyStatus::Falsified { cex, .. } => cex.map(Certificate::Trace),
+            PropertyStatus::Inconclusive { .. } => None,
+        };
+        self.finish(verdict, certificate)
+    }
+
     /// Ends a multi-property run with one status per property.
     pub fn finish_all(mut self, statuses: Vec<PropertyStatus>) -> MultiResult {
         self.stats.time = self.start.elapsed();
@@ -152,15 +166,10 @@ impl<'a> EngineRun<'a> {
 
     /// The depth-0 check run before a main loop that starts at bound 1:
     /// do the initial states violate property `bad_index`?  Returns the
-    /// run's final verdict when the check decides it — a violation, with
-    /// its single-cycle input trace as a [`Certificate::Trace`] unless
-    /// [`Options::certificates`] is off, or an interrupt — and `None`
-    /// when the initial states are safe.
-    pub fn depth0(
-        &mut self,
-        aig: &Aig,
-        bad_index: usize,
-    ) -> Option<(Verdict, Option<Certificate>)> {
+    /// status when the check decides it — a violation, with its
+    /// single-cycle input trace unless [`Options::certificates`] is off,
+    /// or an interrupt — and `None` when the initial states are safe.
+    pub fn depth0(&mut self, aig: &Aig, bad_index: usize) -> Option<PropertyStatus> {
         let _span = self
             .telemetry()
             .span_args("depth0", || vec![("bad", ArgValue::U64(bad_index as u64))]);
@@ -171,28 +180,26 @@ impl<'a> EngineRun<'a> {
         unroller.assert_lit(bad);
         // Inputs outside the bad cone become fresh unconstrained
         // variables; they add no clauses and cannot change the verdict.
-        let inputs: Vec<Lit> = (0..aig.num_inputs())
-            .map(|i| unroller.input_lit(0, i))
-            .collect();
+        for input in 0..aig.num_inputs() {
+            unroller.input_lit(0, input);
+        }
+        let inputs = unroller.frame_inputs(0).to_vec();
         let cnf = unroller.into_cnf();
         self.stats.encode_time += encode_start.elapsed();
         let (result, solver) = self.solve_check(&Check::of(&cnf), false, &[]);
         match result {
             SolveResult::Sat => {
-                let cert = self
+                let cex = self
                     .options
                     .certificates
-                    .then(|| Certificate::Trace(vec![model_values(&solver, &inputs)]));
-                Some((Verdict::Falsified { depth: 0 }, cert))
+                    .then(|| vec![model_values(&solver, &inputs)]);
+                Some(PropertyStatus::Falsified { depth: 0, cex })
             }
             SolveResult::Unsat => None,
-            SolveResult::Interrupted => Some((
-                Verdict::Inconclusive {
-                    reason: self.stop_reason(),
-                    bound_reached: 0,
-                },
-                None,
-            )),
+            SolveResult::Interrupted => Some(PropertyStatus::Inconclusive {
+                reason: self.stop_reason(),
+                bound_reached: 0,
+            }),
         }
     }
 
@@ -275,11 +282,13 @@ pub(crate) fn solve(
     result
 }
 
-/// The values of `lits` in `solver`'s model (unassigned reads `false`):
-/// how every engine reads a counterexample's inputs back.
-pub(crate) fn model_values(solver: &Solver, lits: &[Lit]) -> Vec<bool> {
+/// The values of one cycle's input literals `lits` in `solver`'s model:
+/// how every engine reads a counterexample's inputs back.  An unassigned
+/// literal, and an input without one (no encoded cone reads it), reads
+/// `false`.
+pub(crate) fn model_values(solver: &Solver, lits: &[Option<Lit>]) -> Vec<bool> {
     lits.iter()
-        .map(|&lit| solver.lit_value(lit).unwrap_or(false))
+        .map(|lit| lit.and_then(|lit| solver.lit_value(lit)).unwrap_or(false))
         .collect()
 }
 

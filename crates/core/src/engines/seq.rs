@@ -37,16 +37,15 @@
 
 use crate::abstraction::Abstraction;
 use crate::certificate::{Certificate, InvariantCert, InvariantCone};
-use crate::engines::check::Check;
+use crate::engines::check::{interpolants, Check};
 use crate::engines::run::{model_values, EngineRun};
 use crate::engines::CancelToken;
 use crate::state::{set_constraint, Interrupted, StateSpace};
 use crate::{EngineResult, EngineStats, Options, StopReason, Verdict};
 use aig::Aig;
-use cnf::{BmcCheck, Clause, IncrementalUnroller, Unroller};
-use itp::InterpolationContext;
-use sat::{ProofView, SolveResult};
-use std::collections::HashMap;
+use cnf::{BmcCheck, Clause, Unroller};
+use sat::{ProofView, SolveResult, Solver};
+use std::sync::Arc;
 use std::time::Instant;
 use telemetry::{ArgValue, Telemetry};
 
@@ -84,6 +83,9 @@ struct Target {
     tail: Vec<Clause>,
     /// Variables of the instance, not counting a spliced state set.
     num_vars: u32,
+    /// The primary-input literals of frame `t` in the instance: the
+    /// cache's (under assume-k) or the detached cone's (under exact-k).
+    inputs: Vec<Option<cnf::Lit>>,
 }
 
 /// A bounded check built from a [`CachedUnrolling`], plus its frame
@@ -94,10 +96,10 @@ struct SeqInstance<'a> {
 }
 
 /// A per-model cache of the partitioned unrolling every sequence-engine
-/// check is cut from: a persistent [`IncrementalUnroller`] that keeps its
-/// frames, variable maps and Tseitin caches alive, so growing the bound
-/// only encodes the new frame, and an instance at any bound reached so
-/// far is a slice of the cache plus a short tail.
+/// check is cut from: a persistent [`Unroller`] of the shared model that
+/// keeps its frames, variable maps and Tseitin caches alive, so growing
+/// the bound only encodes the new frame, and an instance at any bound
+/// reached so far is a slice of the cache plus a short tail.
 ///
 /// Every instance is **bit-identical** to the scratch `build_instance`
 /// — same clauses, same order, same variable numbering, same partition
@@ -130,7 +132,7 @@ struct SeqInstance<'a> {
 /// interpolation queries need a refutation of exactly that instance's
 /// partition layout.
 struct CachedUnrolling {
-    unroller: IncrementalUnroller,
+    unroller: Unroller<'static>,
     bad_index: usize,
     check: BmcCheck,
     init: InitKind,
@@ -146,8 +148,8 @@ struct CachedUnrolling {
 }
 
 impl CachedUnrolling {
-    fn new(model: &Aig, bad_index: usize, check: BmcCheck, init: InitKind) -> CachedUnrolling {
-        let mut unroller = IncrementalUnroller::new(model);
+    fn new(model: Arc<Aig>, bad_index: usize, check: BmcCheck, init: InitKind) -> CachedUnrolling {
+        let mut unroller = Unroller::shared(model);
         unroller.builder_mut().set_partition(1);
         if init == InitKind::Reset {
             unroller.assert_initial(0);
@@ -203,6 +205,7 @@ impl CachedUnrolling {
                 end: self.unroller.num_clauses(),
                 tail: vec![Clause::new(vec![bad], partition)],
                 num_vars: self.unroller.num_vars(),
+                inputs: self.unroller.frame_inputs(t).to_vec(),
             },
         );
         bad
@@ -241,7 +244,8 @@ impl CachedUnrolling {
                     let (end, first_var) = self.frame_ends[t];
                     let partition = (t + 2) as u32;
                     let bad = self.unroller.aig().bad(self.bad_index);
-                    let (cone, lit) = self.unroller.detached_lit(t, bad, first_var, partition);
+                    let (cone, lit, inputs) =
+                        self.unroller.detached_lit(t, bad, first_var, partition);
                     let mut tail = cone.clauses;
                     tail.push(Clause::new(vec![lit], partition));
                     self.record(
@@ -250,6 +254,7 @@ impl CachedUnrolling {
                             end,
                             tail,
                             num_vars: cone.num_vars,
+                            inputs,
                         },
                     );
                 }
@@ -285,6 +290,20 @@ impl CachedUnrolling {
             check,
             frame_latches,
         }
+    }
+
+    /// The input trace (cycles `0..=t`) of the model `solver` found for
+    /// the reset-state instance with `t` transitions, the deepest this
+    /// cache has grown to (a reset-state check is loaded unrelocated).
+    /// Frames below `t` keep the input variables their cones allocated,
+    /// frame `t` those of its target; nothing is allocated or encoded.
+    fn trace(&self, t: usize, solver: &Solver) -> Vec<Vec<bool>> {
+        debug_assert_eq!(self.init, InitKind::Reset);
+        debug_assert_eq!(t, self.bound, "later frames may reuse the tail's variables");
+        let target = self.targets[t].as_ref().expect("the instance was encoded");
+        let frames = (0..t).map(|f| self.unroller.frame_inputs(f));
+        let frames = frames.chain([&target.inputs[..]]);
+        frames.map(|inputs| model_values(solver, inputs)).collect()
     }
 }
 
@@ -342,80 +361,6 @@ fn build_instance(
     (unroller.into_cnf(), frame_latches)
 }
 
-/// Re-derives a replayable input trace for a bound-`bound` falsification
-/// of `model` (whose one property is bad-state 0) on a throwaway scratch
-/// instance.
-///
-/// The cached unrolling cannot serve the trace directly: pinning input
-/// variables inside the cache would perturb its variable numbering, which
-/// is tested bit-identical against scratch builds (and under the exact-k
-/// formulation the target cone lives on a throwaway clone anyway).  One
-/// extra SAT call on the terminal path — the instance is known
-/// satisfiable — buys the model back without touching the cache.
-fn falsification_trace(
-    run: &mut EngineRun<'_>,
-    model: &Aig,
-    bound: usize,
-    num_inputs: usize,
-) -> Option<Vec<Vec<bool>>> {
-    let check = run.options.check;
-    let encode = run.telemetry().span("encode");
-    let encode_start = Instant::now();
-    let mut unroller = Unroller::new(model);
-    unroller.assert_initial(0);
-    for f in 1..=bound {
-        if check == BmcCheck::ExactAssume && f >= 2 {
-            let bad_prev = unroller.bad_lit(f - 1, 0);
-            unroller.assert_lit(!bad_prev);
-        }
-        unroller.add_frame();
-    }
-    let bad = unroller.bad_lit(bound, 0);
-    unroller.assert_lit(bad);
-    let frame_inputs: Vec<Vec<cnf::Lit>> = (0..=bound)
-        .map(|f| (0..num_inputs).map(|i| unroller.input_lit(f, i)).collect())
-        .collect();
-    let cnf = unroller.into_cnf();
-    run.stats.encode_time += encode_start.elapsed();
-    encode.end();
-    let (result, solver) = run.solve_check(&Check::of(&cnf), false, &[]);
-    (result == SolveResult::Sat).then(|| {
-        let frames = frame_inputs.iter();
-        frames.map(|frame| model_values(&solver, frame)).collect()
-    })
-}
-
-/// Extracts the interpolants at the given sub-instance cuts from a
-/// refutation read in place, mapping shared frame variables to
-/// state-space latches.
-fn extract_interpolants(
-    proof: ProofView<'_>,
-    frame_latches: &[Vec<cnf::Lit>],
-    cuts: &[u32],
-    space: &mut StateSpace,
-    model_to_concrete: &[usize],
-    stats: &mut EngineStats,
-) -> Result<Vec<aig::Lit>, String> {
-    let mut var_to_latch: HashMap<u32, usize> = HashMap::new();
-    for lits in frame_latches {
-        for (model_latch, lit) in lits.iter().enumerate() {
-            var_to_latch.insert(lit.var().index(), model_to_concrete[model_latch]);
-        }
-    }
-    let latch_lits: Vec<aig::Lit> = (0..space.num_latches()).map(|i| space.latch(i)).collect();
-    let ctx = InterpolationContext::new(proof).map_err(|e| e.to_string())?;
-    let itps = ctx
-        .sequence_for_cuts(cuts, space.manager_mut(), &|_, v| {
-            let latch = *var_to_latch
-                .get(&v.index())
-                .expect("shared interpolant variables are frame latch variables");
-            latch_lits[latch]
-        })
-        .map_err(|e| e.to_string())?;
-    stats.interpolants += itps.len() as u64;
-    Ok(itps)
-}
-
 /// The latch correspondence between the current (abstract) model and the
 /// design, both ways.
 struct LatchMaps<'r> {
@@ -454,12 +399,13 @@ fn interpolate_from(
         SolveResult::Interrupted => return Err(run.stop_reason()),
     }
     let proof = solver.proof_view().expect("unsat result has a proof");
-    extract_interpolants(
+    let to_concrete = maps.model_to_concrete;
+    interpolants(
         proof,
-        &instance_latches,
         cuts,
+        &instance_latches,
+        to_concrete,
         space,
-        maps.model_to_concrete,
         &mut run.stats,
     )
     .map_err(StopReason::other)
@@ -486,7 +432,7 @@ fn compute_sequence(
     let mut sequence: Vec<aig::Lit> = Vec::with_capacity(bound);
     let from_full = |cuts: &[u32], space: &mut StateSpace, stats: &mut EngineStats| {
         let to_concrete = maps.model_to_concrete;
-        extract_interpolants(full_proof, full_latches, cuts, space, to_concrete, stats)
+        interpolants(full_proof, cuts, full_latches, to_concrete, space, stats)
             .map_err(StopReason::other)
     };
 
@@ -582,12 +528,13 @@ fn extend_or_refine(
     // Pin the concrete input variables of every cycle before the unroller
     // is consumed, so a concretised counterexample can be read back as a
     // replayable trace (input variables carry no clauses).
-    let frame_inputs: Vec<Vec<cnf::Lit>> = if record_trace {
+    let frame_inputs: Vec<Vec<Option<cnf::Lit>>> = if record_trace {
         (0..=bound)
             .map(|f| {
-                (0..design.num_inputs())
-                    .map(|i| unroller.input_lit(f, i))
-                    .collect()
+                for input in 0..design.num_inputs() {
+                    unroller.input_lit(f, input);
+                }
+                unroller.frame_inputs(f).to_vec()
             })
             .collect()
     } else {
@@ -668,8 +615,8 @@ pub(crate) fn run(
     // `ℐ_j` column conjunctions, persisted across bounds (1-based index j).
     let mut columns: Vec<aig::Lit> = Vec::new();
 
-    if let Some((verdict, certificate)) = run.depth0(design, bad_index) {
-        return run.finish(verdict, certificate);
+    if let Some(status) = run.depth0(design, bad_index) {
+        return run.finish_status(status);
     }
 
     let mut abstraction = if config.use_cba {
@@ -678,7 +625,11 @@ pub(crate) fn run(
         Abstraction::full(design)
     };
     run.stats.visible_latches = abstraction.num_visible();
-    let mut current = abstraction.abstract_model(design, bad_index);
+    let abstract_model = |abstraction: &Abstraction| {
+        let (model, model_to_concrete) = abstraction.abstract_model(design, bad_index);
+        (Arc::new(model), model_to_concrete)
+    };
+    let mut current = abstract_model(&abstraction);
     // The unrolling caches of the current model (reset-state and
     // state-set); dropped on refinement (the abstract model — and with it
     // every frame encoding — changes).
@@ -702,7 +653,7 @@ pub(crate) fn run(
             // the copy of `bad_index` — at index 0 (passing the concrete
             // index here panicked on every property but the first).
             let cached = cache.get_or_insert_with(|| {
-                CachedUnrolling::new(model, 0, options.check, InitKind::Reset)
+                CachedUnrolling::new(Arc::clone(model), 0, options.check, InitKind::Reset)
             });
             let instance = cached.instance(k, None, &mut run.stats, telemetry);
             let (result, solver) = run.solve_check(&instance.check, true, &[]);
@@ -710,18 +661,17 @@ pub(crate) fn run(
                 SolveResult::Unsat => break (instance.frame_latches, solver),
                 SolveResult::Interrupted => return run.give_up(k - 1),
                 SolveResult::Sat => {
-                    drop(solver);
                     if !config.use_cba || abstraction.is_complete(design) {
                         // The model is (behaviourally) the design here: CBA
                         // only falsifies through this path once complete,
                         // and its inputs then coincide with the design's.
+                        // The trace is this check's model.
                         let cert = options
                             .certificates
-                            .then(|| falsification_trace(&mut run, model, k, design.num_inputs()))
-                            .flatten()
-                            .map(Certificate::Trace);
+                            .then(|| Certificate::Trace(cached.trace(k, &solver)));
                         return run.finish(Verdict::Falsified { depth: k }, cert);
                     }
+                    drop(solver);
                     match extend_or_refine(&mut run, design, bad_index, k, &mut abstraction) {
                         ExtendOutcome::ConcreteCounterexample(trace) => {
                             let cert = trace.map(Certificate::Trace);
@@ -740,7 +690,7 @@ pub(crate) fn run(
                                     ),
                                 ]
                             });
-                            current = abstraction.abstract_model(design, bad_index);
+                            current = abstract_model(&abstraction);
                             cache = None;
                             set_cache = None;
                         }
@@ -764,8 +714,9 @@ pub(crate) fn run(
             model_to_concrete,
             concrete_to_model: &concrete_to_model,
         };
-        let set_cache = set_cache
-            .get_or_insert_with(|| CachedUnrolling::new(model, 0, options.check, InitKind::Set));
+        let set_cache = set_cache.get_or_insert_with(|| {
+            CachedUnrolling::new(Arc::clone(model), 0, options.check, InitKind::Set)
+        });
         let full_proof = solver.proof_view().expect("unsat result has a proof");
         let sequence = match compute_sequence(
             &mut run,
@@ -858,6 +809,45 @@ mod tests {
         aig
     }
 
+    /// A design whose bad state at depth 2 also needs a primary input
+    /// that only the bad cone reads: under exact-k, frame 2's copy of it
+    /// exists only in the check's detached tail.  Both sequence engines
+    /// falsify it with a trace read off the deciding check that replays
+    /// to the bad state, and without a second solve: the depth-0 query,
+    /// one query per bound and the containment queries are every SAT call.
+    #[test]
+    fn falsifying_traces_come_from_the_deciding_check() {
+        let mut design = Aig::new();
+        let trigger = aig::Lit::positive(design.add_input());
+        let (ids, bits) = latch_word(&mut design, 2, 0);
+        let next = word_increment(&mut design, &bits, aig::Lit::TRUE);
+        for (id, n) in ids.iter().zip(next.iter()) {
+            design.set_next(*id, *n);
+        }
+        let at_two = word_equals_const(&mut design, &bits, 2);
+        let bad = design.and(at_two, trigger);
+        design.add_bad(bad);
+        for check in [BmcCheck::Exact, BmcCheck::ExactAssume] {
+            for engine in [Engine::ItpSeq, Engine::SerialItpSeq] {
+                let context = format!("{} {check:?}", engine.name());
+                let options = Options::default().with_check(check);
+                let result = engine.dispatch(&design, 0, &options, &CancelToken::new());
+                assert_eq!(result.verdict, Verdict::Falsified { depth: 2 }, "{context}");
+                let Some(Certificate::Trace(inputs)) = &result.certificate else {
+                    panic!("{context}: a falsified run carries its trace");
+                };
+                assert_eq!(inputs.len(), 3, "{context}");
+                assert!(aig::simulate(&design, inputs).bad[2][0], "{context}");
+                let stats = &result.stats;
+                assert_eq!(
+                    stats.sat_calls,
+                    1 + 2 + stats.containment_calls,
+                    "{context}"
+                );
+            }
+        }
+    }
+
     /// A containment check the run budget stops ends the fixpoint search
     /// with `Interrupted` (which the run reports as `Inconclusive` with
     /// the budget's reason), where an unstopped budget finds the fixpoint.
@@ -941,7 +931,8 @@ mod tests {
         let telemetry = Telemetry::off();
         for check in [BmcCheck::Exact, BmcCheck::ExactAssume] {
             for design in &designs {
-                let mut cache = CachedUnrolling::new(design, 0, check, InitKind::Reset);
+                let mut cache =
+                    CachedUnrolling::new(Arc::new(design.clone()), 0, check, InitKind::Reset);
                 let mut stats = EngineStats::default();
                 for k in 1..=6usize {
                     let cached = cache.instance(k, None, &mut stats, &telemetry);
@@ -1011,13 +1002,15 @@ mod tests {
                 let mut space = StateSpace::new(n, &run);
                 let sets = random_sets(&mut space, 0x9e37_79b9 + index as u64, 40);
                 let mut stats = EngineStats::default();
-                let mut cache = CachedUnrolling::new(design, 0, check, InitKind::Set);
+                let mut cache =
+                    CachedUnrolling::new(Arc::new(design.clone()), 0, check, InitKind::Set);
                 let mut pick = 0;
                 for bound in 2..=7usize {
                     if bound == 5 {
                         // A refinement drops the cache; the next request
                         // starts the new one at depth.
-                        cache = CachedUnrolling::new(design, 0, check, InitKind::Set);
+                        cache =
+                            CachedUnrolling::new(Arc::new(design.clone()), 0, check, InitKind::Set);
                     }
                     for t in (1..bound).rev() {
                         let set = sets[pick % sets.len()];
@@ -1044,7 +1037,8 @@ mod tests {
         let design = modular_counter(3, 6, 7);
         let telemetry = Telemetry::off();
         for check in [BmcCheck::Exact, BmcCheck::ExactAssume] {
-            let mut cache = CachedUnrolling::new(&design, 0, check, InitKind::Reset);
+            let mut cache =
+                CachedUnrolling::new(Arc::new(design.clone()), 0, check, InitKind::Reset);
             let mut stats = EngineStats::default();
             let first = cache
                 .instance(4, None, &mut stats, &telemetry)
@@ -1067,12 +1061,14 @@ mod tests {
         let design = gated_counter(3);
         let telemetry = Telemetry::off();
         for check in [BmcCheck::Exact, BmcCheck::ExactAssume] {
-            let mut grown = CachedUnrolling::new(&design, 0, check, InitKind::Reset);
+            let mut grown =
+                CachedUnrolling::new(Arc::new(design.clone()), 0, check, InitKind::Reset);
             let mut stats = EngineStats::default();
             for k in 1..=5usize {
                 let _ = grown.instance(k, None, &mut stats, &telemetry);
             }
-            let mut fresh = CachedUnrolling::new(&design, 0, check, InitKind::Reset);
+            let mut fresh =
+                CachedUnrolling::new(Arc::new(design.clone()), 0, check, InitKind::Reset);
             let a = grown
                 .instance(5, None, &mut stats, &telemetry)
                 .check

@@ -22,8 +22,8 @@
 //!   PDR, ITPSEQCBA and BMC run concurrently per property, the first
 //!   conclusive verdict wins and the losers are cancelled through
 //!   [`CancelToken`]s,
-//! * [`multi`] — multi-property verification ([`verify_all`] /
-//!   [`Engine::verify_all`]): amortized multi-BMC and multi-PDR backends
+//! * [`multi`] — multi-property verification ([`Engine::verify_all`]):
+//!   amortized multi-BMC and multi-PDR backends
 //!   plus a COI-grouping property scheduler, with per-property statuses
 //!   bit-identical in kind and counterexample depth to the per-property
 //!   loop.
@@ -77,7 +77,6 @@ mod types;
 
 pub use certificate::{CertRecord, Certificate, InvariantCert, InvariantCone};
 pub use engines::CancelToken;
-pub use multi::verify_all;
 pub use pipeline::{prepare, prepare_property, Prepared};
 pub use sat::{FaultKind, FaultPlan, FaultSite, MemoryBudget};
 pub use telemetry::Telemetry;

@@ -1,6 +1,6 @@
 //! Amortized multi-property bounded model checking.
 //!
-//! One [`cnf::IncrementalUnroller`] and one long-lived
+//! One [`cnf::Unroller`] and one long-lived
 //! [`sat::IncrementalSolver`] serve *all* bad-state properties of the
 //! design.  Each bound extends the shared unrolling by exactly one frame
 //! — so the frame-encoding volume across a `max_bound = K` run is `O(K)`
@@ -40,7 +40,7 @@ use crate::engines::CancelToken;
 use crate::multi::{RetireBoard, StatusSlots};
 use crate::{MultiResult, Options, PropertyStatus, StopReason};
 use aig::Aig;
-use cnf::{BmcCheck, IncrementalUnroller, Lit};
+use cnf::{BmcCheck, Lit, Unroller};
 use sat::{IncrementalSolver, SolveResult};
 use std::time::Instant;
 use telemetry::ArgValue;
@@ -119,7 +119,7 @@ impl MultiBmc<'_, '_> {
     }
 
     /// Loads the unroller's pending delta clauses into the solver.
-    fn drain(&mut self, unroller: &mut IncrementalUnroller, solver: &mut IncrementalSolver) {
+    fn drain(&mut self, unroller: &mut Unroller<'_>, solver: &mut IncrementalSolver) {
         for clause in unroller.pending_clauses() {
             solver.add_clause(clause.lits.iter().copied());
         }
@@ -134,7 +134,7 @@ impl MultiBmc<'_, '_> {
         i: usize,
         depth: usize,
         result: SolveResult,
-        unroller: &mut IncrementalUnroller,
+        unroller: &mut Unroller<'_>,
         solver: &IncrementalSolver,
     ) -> bool {
         match result {
@@ -162,7 +162,7 @@ impl MultiBmc<'_, '_> {
     /// unconstrained and read as `false`.
     fn extract_cex(
         &self,
-        unroller: &mut IncrementalUnroller,
+        unroller: &mut Unroller<'_>,
         solver: &IncrementalSolver,
         depth: usize,
     ) -> Vec<Vec<bool>> {
@@ -190,7 +190,7 @@ impl MultiBmc<'_, '_> {
         let telemetry = &options.telemetry;
 
         let encode_start = Instant::now();
-        let mut unroller = IncrementalUnroller::new(self.aig);
+        let mut unroller = Unroller::new(self.aig);
         unroller.assert_initial(0);
         let mut solver = self.run.incremental();
         let frame0 = unroller.bad_lits(0, self.slots.iter().map(|slot| slot.property));

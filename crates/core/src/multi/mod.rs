@@ -6,7 +6,7 @@
 //! by looping [`Engine::verify`] re-pays those costs `P` times; this
 //! module pays them once:
 //!
-//! * [`bmc`] — **multi-BMC**: one [`cnf::IncrementalUnroller`] and one
+//! * [`bmc`] — **multi-BMC**: one [`cnf::Unroller`] and one
 //!   long-lived [`sat::IncrementalSolver`] serve every property.  Each
 //!   bound extends the shared unrolling by one frame (`O(K)` frame
 //!   encodings total instead of the loop's `O(K·P)`) and checks every
@@ -64,7 +64,7 @@
 //! # Example
 //!
 //! ```
-//! use mc::{verify_all, Options, PropertyStatus};
+//! use mc::{Engine, Options, PropertyStatus};
 //!
 //! // A 2-bit counter wrapping at 3, with one property per threshold:
 //! // value 2 is reached at depth 2, value 3 never.
@@ -82,7 +82,7 @@
 //!     aig.add_bad(bad);
 //! }
 //!
-//! let result = verify_all(&aig, &Options::default());
+//! let result = Engine::Portfolio.verify_all(&aig, &Options::default());
 //! assert_eq!(result.statuses[0].depth(), Some(2));
 //! assert!(result.statuses[1].is_proved());
 //! ```
@@ -99,13 +99,6 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 use telemetry::{ArgValue, Telemetry};
-
-/// Verifies every bad-state property of `aig` with the property
-/// scheduler (COI grouping + racing multi-PDR/multi-BMC) — the
-/// [`Engine::Portfolio`] flavour of [`Engine::verify_all`].
-pub fn verify_all(aig: &Aig, options: &Options) -> MultiResult {
-    Engine::Portfolio.verify_all(aig, options)
-}
 
 /// The dispatch behind [`Engine::verify_all_with_cancel`]: the staged
 /// pipeline entry.  The design is reduced once by the preprocessing

@@ -1,8 +1,7 @@
 //! Amortized multi-property PDR.
 //!
-//! The implementation lives with the engine
-//! (`crate::engines::pdr::verify_all_with_cancel`) because it drives
-//! the same `Pdr` state machine as the single-property entry point: one
+//! The loop lives with the engine (`engines::pdr::check`)
+//! because single-property PDR is the same loop over one property: one
 //! frame trace, one per-frame solver family and one transition template
 //! (carrying *every* property's bad cone at frame 0) serve the whole
 //! property set.  What is shared and why it is sound:
@@ -18,29 +17,25 @@
 //!   level whose blocking phases cleaned every live property's frontier
 //!   is one inductive invariant excluding all of their bad states.
 //!
-//! This module re-exports the driver for `verify_all` dispatch and holds
-//! its multi-property regression tests.
-
-use crate::engines::CancelToken;
-use crate::{MultiResult, Options};
-use aig::Aig;
-
-/// Verifies the bad-state properties `props` of `aig` on one shared PDR
-/// trace; `statuses[i]` reports on property `props[i]`.
-pub fn verify_all(aig: &Aig, props: &[usize], options: &Options) -> MultiResult {
-    crate::engines::pdr::verify_all_with_cancel(aig, props, options, &CancelToken::new(), None)
-}
+//! This module holds the multi-property regression tests.
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::{Engine, PropertyStatus};
+    use crate::engines::pdr::verify_all_with_cancel;
+    use crate::engines::CancelToken;
+    use crate::{Engine, MultiResult, Options, PropertyStatus};
+    use aig::Aig;
     use std::time::Duration;
 
     fn options() -> Options {
         Options::default()
             .with_timeout(Duration::from_secs(10))
             .with_max_bound(40)
+    }
+
+    /// Multi-PDR on the properties `props` of `aig`, on the design as given.
+    fn verify_all(aig: &Aig, props: &[usize], options: &Options) -> MultiResult {
+        verify_all_with_cancel(aig, props, options, &CancelToken::new(), None)
     }
 
     #[test]
@@ -114,8 +109,7 @@ mod tests {
         let aig = workloads::counter::modular_multi(5, 28, &[27, 30]);
         let cancel = CancelToken::new();
         cancel.cancel();
-        let multi =
-            crate::engines::pdr::verify_all_with_cancel(&aig, &[0, 1], &options(), &cancel, None);
+        let multi = verify_all_with_cancel(&aig, &[0, 1], &options(), &cancel, None);
         for status in &multi.statuses {
             match status {
                 PropertyStatus::Inconclusive { reason, .. } => assert_eq!(reason, "cancelled"),

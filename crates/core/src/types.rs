@@ -357,8 +357,8 @@ pub struct EngineResult {
 ///
 /// The variants mirror [`Verdict`]; `Falsified` additionally carries the
 /// counterexample's input trace when the deciding backend produced one
-/// (multi-BMC reads it off the satisfying assignment; multi-PDR reports
-/// the depth only).
+/// (multi-BMC reads it off the satisfying assignment, multi-PDR replays
+/// its obligation chain).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum PropertyStatus {
     /// The property holds for every reachable state.
@@ -564,16 +564,6 @@ pub struct Options {
     /// verdict, only attach evidence to it, and the regression tests
     /// re-run the suite with it off and compare.
     pub certificates: bool,
-    /// Whether PDR re-enqueues a blocked proof obligation one frame
-    /// forward (`false`, the default).
-    ///
-    /// Pushing obligations forward strengthens later frames eagerly and
-    /// can speed up convergence, but a forwarded obligation chain that
-    /// reaches frame 0 witnesses a real — yet possibly non-minimal —
-    /// counterexample, so the option trades the engine's minimal-depth
-    /// guarantee for speed.  Verdict *kinds* are unaffected either way
-    /// (see `tests/multi_property.rs` and the PDR A/B regression).
-    pub push_obligations: bool,
     /// Worker threads for the concurrent modes.
     ///
     /// `1` (the default) keeps every engine's internals strictly
@@ -630,7 +620,6 @@ impl Default for Options {
             alpha_serial: 0.5,
             reduce_db: true,
             certificates: true,
-            push_obligations: false,
             threads: 1,
             telemetry: Telemetry::off(),
             preprocess: aig::passes::PassConfig::default(),
@@ -688,13 +677,6 @@ impl Options {
     /// (see [`Options::certificates`]).
     pub fn with_certificates(mut self, certificates: bool) -> Options {
         self.certificates = certificates;
-        self
-    }
-
-    /// Returns a copy with PDR's obligation push-forward switched on or
-    /// off (see [`Options::push_obligations`]).
-    pub fn with_push_obligations(mut self, push_obligations: bool) -> Options {
-        self.push_obligations = push_obligations;
         self
     }
 

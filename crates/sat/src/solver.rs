@@ -1453,6 +1453,12 @@ impl Solver {
     pub fn solve_with_assumptions(&mut self, assumptions: &[Lit]) -> SolveResult {
         self.assumption_core.clear();
         self.backtrack(0);
+        // An interrupt injected while loading is taken before any early
+        // answer, so a fault that fired always reads as `Interrupted`.
+        if std::mem::take(&mut self.injected_stop) {
+            self.status = Some(SolveResult::Interrupted);
+            return SolveResult::Interrupted;
+        }
         if !self.ok {
             self.status = Some(SolveResult::Unsat);
             return SolveResult::Unsat;
@@ -1467,7 +1473,7 @@ impl Solver {
             return SolveResult::Unsat;
         }
 
-        if self.interrupted() || std::mem::take(&mut self.injected_stop) || self.memory_exceeded() {
+        if self.interrupted() || self.memory_exceeded() {
             self.backtrack(0);
             self.status = Some(SolveResult::Interrupted);
             return SolveResult::Interrupted;

@@ -6,25 +6,16 @@
 //! trace-report TRACE.jsonl [options]
 //!   --json PATH             write the itpseq-report/v1 JSON document
 //!   --folded PATH           write the inferno-compatible folded stacks
-//!   --baseline FILE         gate against a checked-in baseline
-//!   --tolerance F           extra relative tolerance on top of the
-//!                           baseline's per-entry tolerances (default 0)
-//!   --write-baseline PATH   extract a fresh baseline from this trace
 //!   --quiet                 suppress the text table
 //! ```
 //!
-//! Exits 0 on success, 1 when the baseline comparison fails, 2 on usage
-//! or I/O errors.
+//! Exits 0 on success, 2 on usage or I/O errors.
 
-use std::process::ExitCode;
 use telemetry::folded::folded_from_jsonl;
-use telemetry::report::{Baseline, TraceReport};
+use telemetry::report::TraceReport;
 
 fn usage() -> ! {
-    eprintln!(
-        "usage: trace-report TRACE.jsonl [--json PATH] [--folded PATH] \
-         [--baseline FILE] [--tolerance F] [--write-baseline PATH] [--quiet]"
-    );
+    eprintln!("usage: trace-report TRACE.jsonl [--json PATH] [--folded PATH] [--quiet]");
     std::process::exit(2);
 }
 
@@ -33,13 +24,10 @@ fn fail(message: impl std::fmt::Display) -> ! {
     std::process::exit(2);
 }
 
-fn main() -> ExitCode {
+fn main() {
     let mut trace_path: Option<String> = None;
     let mut json_path: Option<String> = None;
     let mut folded_path: Option<String> = None;
-    let mut baseline_path: Option<String> = None;
-    let mut write_baseline: Option<String> = None;
-    let mut tolerance = 0.0f64;
     let mut quiet = false;
 
     let mut args = std::env::args().skip(1);
@@ -47,14 +35,6 @@ fn main() -> ExitCode {
         match arg.as_str() {
             "--json" => json_path = Some(args.next().unwrap_or_else(|| usage())),
             "--folded" => folded_path = Some(args.next().unwrap_or_else(|| usage())),
-            "--baseline" => baseline_path = Some(args.next().unwrap_or_else(|| usage())),
-            "--write-baseline" => write_baseline = Some(args.next().unwrap_or_else(|| usage())),
-            "--tolerance" => {
-                tolerance = args
-                    .next()
-                    .and_then(|t| t.parse().ok())
-                    .unwrap_or_else(|| usage())
-            }
             "--quiet" => quiet = true,
             "--help" | "-h" => usage(),
             other if trace_path.is_none() && !other.starts_with('-') => {
@@ -70,47 +50,14 @@ fn main() -> ExitCode {
     let report =
         TraceReport::from_jsonl(&text).unwrap_or_else(|e| fail(format!("{trace_path}: {e}")));
 
-    let comparison = baseline_path.map(|path| {
-        let doc = std::fs::read_to_string(&path).unwrap_or_else(|e| fail(format!("{path}: {e}")));
-        let baseline = Baseline::parse(&doc).unwrap_or_else(|e| fail(format!("{path}: {e}")));
-        report.compare(&baseline, tolerance, &path)
-    });
-
     if !quiet {
         print!("{}", report.to_text());
     }
     if let Some(path) = &json_path {
-        std::fs::write(path, report.to_json(comparison.as_ref()))
-            .unwrap_or_else(|e| fail(format!("{path}: {e}")));
+        std::fs::write(path, report.to_json()).unwrap_or_else(|e| fail(format!("{path}: {e}")));
     }
     if let Some(path) = &folded_path {
         let folded = folded_from_jsonl(&text).unwrap_or_else(|e| fail(e));
         std::fs::write(path, folded).unwrap_or_else(|e| fail(format!("{path}: {e}")));
-    }
-    if let Some(path) = &write_baseline {
-        std::fs::write(path, Baseline::from_report(&report).to_json())
-            .unwrap_or_else(|e| fail(format!("{path}: {e}")));
-        eprintln!("trace-report: baseline written to {path}");
-    }
-
-    match comparison {
-        Some(cmp) if !cmp.passed() => {
-            eprintln!(
-                "trace-report: baseline {} FAILED ({} checked, extra tolerance {:.3}):",
-                cmp.file, cmp.checked, cmp.tolerance
-            );
-            for violation in &cmp.violations {
-                eprintln!("  - {violation}");
-            }
-            ExitCode::from(1)
-        }
-        Some(cmp) => {
-            eprintln!(
-                "trace-report: baseline {} passed ({} entries checked)",
-                cmp.file, cmp.checked
-            );
-            ExitCode::SUCCESS
-        }
-        None => ExitCode::SUCCESS,
     }
 }

@@ -23,11 +23,8 @@
 //! machine-readable JSON with schema [`REPORT_SCHEMA`]
 //! ([`TraceReport::to_json`]), and — through the sibling
 //! [`folded`](crate::folded) module — an inferno-compatible collapsed
-//! stack file for flamegraphs.  [`Baseline`] captures the structurally
-//! deterministic aggregates (span counts of the engine-run vocabulary) so
-//! CI can gate on a recorded run not drifting from a checked-in
-//! reference; wall times are *reported* but never gated, because CI
-//! hardware is not.
+//! stack file for flamegraphs.  Wall times are *reported*, never gated:
+//! the deterministic work counters of `table1` are what CI gates.
 
 use crate::json::Json;
 use crate::{ArgValue, Event, EventKind, TRACE_SCHEMA};
@@ -36,10 +33,6 @@ use std::fmt::Write as _;
 
 /// Schema identifier of the report JSON document.
 pub const REPORT_SCHEMA: &str = "itpseq-report/v1";
-
-/// Schema identifier of the checked-in baseline document the CI
-/// perf-regression gate compares a fresh report against.
-pub const BASELINE_SCHEMA: &str = "itpseq-report-baseline/v1";
 
 // ---------------------------------------------------------------------------
 // Recorded events: the owned form shared by the in-memory and JSONL paths.
@@ -662,10 +655,8 @@ impl TraceReport {
         out
     }
 
-    /// The `itpseq-report/v1` JSON document; `baseline` embeds the result
-    /// of a baseline comparison (`"baseline": null` when none ran — the
-    /// field is always present, checked artifacts rely on that).
-    pub fn to_json(&self, baseline: Option<&BaselineComparison>) -> String {
+    /// The `itpseq-report/v1` JSON document.
+    pub fn to_json(&self) -> String {
         let esc = crate::json_escape;
         let tracks: Vec<String> = self
             .tracks
@@ -775,15 +766,11 @@ impl TraceReport {
                 )
             })
             .collect();
-        let baseline = match baseline {
-            None => "null".to_string(),
-            Some(cmp) => cmp.to_json(),
-        };
         format!(
             concat!(
                 "{{\n  \"schema\": \"{}\",\n  \"total_events\": {},\n",
                 "  \"tracks\": [{}],\n  \"spans\": [{}],\n  \"counters\": [{}],\n",
-                "  \"portfolio\": {},\n  \"scheduler\": [{}],\n  \"baseline\": {}\n}}\n"
+                "  \"portfolio\": {},\n  \"scheduler\": [{}]\n}}\n"
             ),
             REPORT_SCHEMA,
             self.total_events,
@@ -791,201 +778,7 @@ impl TraceReport {
             spans.join(","),
             counters.join(","),
             portfolio,
-            scheduler.join(","),
-            baseline
-        )
-    }
-
-    /// Compares this report against `baseline`; `extra_tol` widens every
-    /// entry's own tolerance (the `trace-report --tolerance` flag).
-    pub fn compare(&self, baseline: &Baseline, extra_tol: f64, file: &str) -> BaselineComparison {
-        let mut violations = Vec::new();
-        for entry in &baseline.entries {
-            let tol = (entry.tol + extra_tol).max(0.0);
-            let lo = ((entry.count as f64) * (1.0 - tol)).floor().max(0.0) as u64;
-            let hi = ((entry.count as f64) * (1.0 + tol)).ceil() as u64;
-            match self
-                .spans
-                .iter()
-                .find(|s| s.track == entry.track && s.name == entry.name)
-            {
-                None => violations.push(format!(
-                    "{}/{} missing from the report (baseline count {})",
-                    entry.track, entry.name, entry.count
-                )),
-                Some(agg) if agg.count < lo || agg.count > hi => violations.push(format!(
-                    "{}/{} count {} outside [{lo}, {hi}] (baseline {})",
-                    entry.track, entry.name, agg.count, entry.count
-                )),
-                Some(_) => {}
-            }
-        }
-        BaselineComparison {
-            file: file.to_string(),
-            tolerance: extra_tol,
-            checked: baseline.entries.len() as u64,
-            violations,
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Baselines: the CI perf-regression reference.
-// ---------------------------------------------------------------------------
-
-/// One gated aggregate: the span count of (`track`, `name`) must stay
-/// within `tol` (relative) of `count`.
-#[derive(Clone, Debug, PartialEq)]
-pub struct BaselineEntry {
-    /// Track of the gated aggregate.
-    pub track: String,
-    /// Span name of the gated aggregate.
-    pub name: String,
-    /// Reference count.
-    pub count: u64,
-    /// Relative tolerance (0.0 = exact).
-    pub tol: f64,
-}
-
-/// A checked-in reference extracted from a known-good report
-/// (`itpseq-report-baseline/v1`).
-///
-/// Only *structurally deterministic* aggregates are gated: the engine-run
-/// span vocabulary (`*.run`, `*.multi`, `portfolio.race`, `preprocess`,
-/// `scheduler.run`) whose counts at `threads = 1` racing depend on the
-/// workload alone, never on machine speed.  Wall times are reported but
-/// deliberately not gated — CI hardware varies, counts do not.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct Baseline {
-    /// The gated entries.
-    pub entries: Vec<BaselineEntry>,
-}
-
-/// Span names whose per-track counts are deterministic for a given
-/// workload (see [`Baseline`]).
-fn is_stable_span(name: &str) -> bool {
-    name.ends_with(".run")
-        || name.ends_with(".multi")
-        || name == "portfolio.race"
-        || name == "preprocess"
-        || name == "scheduler.run"
-}
-
-impl Baseline {
-    /// Extracts the gate-worthy entries from a known-good report — the
-    /// baseline-update procedure is exactly `trace-report --write-baseline`
-    /// over a fresh local run.
-    pub fn from_report(report: &TraceReport) -> Baseline {
-        Baseline {
-            entries: report
-                .spans
-                .iter()
-                .filter(|s| is_stable_span(&s.name))
-                .map(|s| BaselineEntry {
-                    track: s.track.clone(),
-                    name: s.name.clone(),
-                    count: s.count,
-                    tol: 0.0,
-                })
-                .collect(),
-        }
-    }
-
-    /// Parses the `itpseq-report-baseline/v1` document.
-    pub fn parse(text: &str) -> Result<Baseline, String> {
-        let doc = Json::parse(text)?;
-        let schema = doc
-            .get("schema")
-            .and_then(Json::as_str)
-            .ok_or("baseline carries no schema field")?;
-        if schema != BASELINE_SCHEMA {
-            return Err(format!("unsupported baseline schema {schema:?}"));
-        }
-        let entries = doc
-            .get("entries")
-            .and_then(Json::as_array)
-            .ok_or("baseline carries no entries array")?;
-        let mut parsed = Vec::with_capacity(entries.len());
-        for entry in entries {
-            let field = |key: &str| {
-                entry
-                    .get(key)
-                    .ok_or_else(|| format!("baseline entry missing {key:?}"))
-            };
-            parsed.push(BaselineEntry {
-                track: field("track")?
-                    .as_str()
-                    .ok_or("bad baseline track")?
-                    .to_string(),
-                name: field("name")?
-                    .as_str()
-                    .ok_or("bad baseline name")?
-                    .to_string(),
-                count: field("count")?.as_u64().ok_or("bad baseline count")?,
-                tol: field("tol")?.as_f64().ok_or("bad baseline tol")?,
-            });
-        }
-        Ok(Baseline { entries: parsed })
-    }
-
-    /// The `itpseq-report-baseline/v1` JSON document.
-    pub fn to_json(&self) -> String {
-        let entries: Vec<String> = self
-            .entries
-            .iter()
-            .map(|e| {
-                format!(
-                    r#"    {{"track":"{}","name":"{}","count":{},"tol":{:.3}}}"#,
-                    crate::json_escape(&e.track),
-                    crate::json_escape(&e.name),
-                    e.count,
-                    e.tol
-                )
-            })
-            .collect();
-        format!(
-            "{{\n  \"schema\": \"{BASELINE_SCHEMA}\",\n  \"entries\": [\n{}\n  ]\n}}\n",
-            entries.join(",\n")
-        )
-    }
-}
-
-/// Outcome of gating a report against a [`Baseline`] — embedded in the
-/// report JSON under `"baseline"`.
-#[derive(Clone, Debug, PartialEq)]
-pub struct BaselineComparison {
-    /// Baseline file compared against.
-    pub file: String,
-    /// Extra tolerance applied on top of the per-entry tolerances.
-    pub tolerance: f64,
-    /// Entries checked.
-    pub checked: u64,
-    /// Human-readable violations; empty means the gate passes.
-    pub violations: Vec<String>,
-}
-
-impl BaselineComparison {
-    /// `true` when no entry was violated.
-    pub fn passed(&self) -> bool {
-        self.violations.is_empty()
-    }
-
-    fn to_json(&self) -> String {
-        let violations: Vec<String> = self
-            .violations
-            .iter()
-            .map(|v| format!("\"{}\"", crate::json_escape(v)))
-            .collect();
-        format!(
-            concat!(
-                r#"{{"file":"{}","tolerance":{:.3},"checked":{},"passed":{},"#,
-                r#""violations":[{}]}}"#
-            ),
-            crate::json_escape(&self.file),
-            self.tolerance,
-            self.checked,
-            self.passed(),
-            violations.join(",")
+            scheduler.join(",")
         )
     }
 }
@@ -1203,70 +996,15 @@ mod tests {
     }
 
     #[test]
-    fn baseline_round_trip_and_tolerances() {
-        let events = vec![
-            ev(0, "main", "BMC.run", EventKind::Begin, no_args()),
-            ev(10, "main", "BMC.run", EventKind::End, no_args()),
-            ev(20, "main", "BMC.run", EventKind::Begin, no_args()),
-            ev(30, "main", "BMC.run", EventKind::End, no_args()),
-            ev(40, "main", "sat", EventKind::Begin, no_args()),
-            ev(50, "main", "sat", EventKind::End, no_args()),
-        ];
-        let report = TraceReport::from_rec(&events);
-        let baseline = Baseline::from_report(&report);
-        // Only the stable vocabulary is gated, not the sat spans.
-        assert_eq!(baseline.entries.len(), 1);
-        assert_eq!(baseline.entries[0].name, "BMC.run");
-        assert_eq!(baseline.entries[0].count, 2);
-        let parsed = Baseline::parse(&baseline.to_json()).expect("baseline parses");
-        assert_eq!(parsed, baseline);
-
-        // Same report gates clean; a count drift fails at tol 0 and is
-        // absorbed by a wide-enough extra tolerance.
-        assert!(report.compare(&baseline, 0.0, "b.json").passed());
-        let mut drifted = baseline.clone();
-        drifted.entries[0].count = 3;
-        let strict = report.compare(&drifted, 0.0, "b.json");
-        assert!(!strict.passed(), "{:?}", strict.violations);
-        assert!(report.compare(&drifted, 0.5, "b.json").passed());
-        let missing = Baseline {
-            entries: vec![BaselineEntry {
-                track: "main".to_string(),
-                name: "PDR.run".to_string(),
-                count: 1,
-                tol: 0.0,
-            }],
-        };
-        let cmp = report.compare(&missing, 0.0, "b.json");
-        assert!(!cmp.passed());
-        assert!(
-            cmp.violations[0].contains("missing"),
-            "{:?}",
-            cmp.violations
-        );
-    }
-
-    #[test]
-    fn report_json_is_balanced_and_carries_the_baseline_field() {
+    fn report_json_is_balanced() {
         let events = vec![
             ev(0, "main", "run", EventKind::Begin, no_args()),
             ev(10, "main", "run", EventKind::End, no_args()),
         ];
         let report = TraceReport::from_rec(&events);
-        let plain = report.to_json(None);
-        assert!(plain.contains(r#""schema": "itpseq-report/v1""#), "{plain}");
-        assert!(plain.contains(r#""baseline": null"#), "{plain}");
-        assert_eq!(plain.matches('{').count(), plain.matches('}').count());
-        let cmp = BaselineComparison {
-            file: "baselines/x.json".to_string(),
-            tolerance: 0.1,
-            checked: 3,
-            violations: vec!["main/run count 1 outside [2, 2]".to_string()],
-        };
-        let gated = report.to_json(Some(&cmp));
-        assert!(gated.contains(r#""passed":false"#), "{gated}");
-        assert!(gated.contains("outside"), "{gated}");
-        assert_eq!(gated.matches('{').count(), gated.matches('}').count());
+        let json = report.to_json();
+        assert!(json.contains(r#""schema": "itpseq-report/v1""#), "{json}");
+        assert_eq!(json.matches('{').count(), json.matches('}').count());
     }
 
     #[test]

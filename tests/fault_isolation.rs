@@ -330,6 +330,22 @@ fn memory_limited_run_stops_with_memlimit_reason() {
     );
 }
 
+/// An interrupt injected at the first clause allocation stops the run
+/// even when that solver's formula is refuted while loading (the
+/// depth-0 check of a design whose reset state is safe): a fault that
+/// fired never vanishes behind an early `Unsat`.
+#[test]
+fn an_interrupt_injected_while_loading_stops_the_run() {
+    let design = itpseq::workloads::counter::modular(3, 6, 7);
+    let plan = FaultPlan::inject(FaultSite::Alloc, FaultKind::Interrupt, 1);
+    let result = Engine::Itp.verify(&design, 0, &options().with_faults(plan));
+    assert_eq!(result.stats.faults_injected, 1);
+    match &result.verdict {
+        Verdict::Inconclusive { reason, .. } => assert_eq!(reason, "fault:interrupt"),
+        other => panic!("the injected interrupt vanished: {other}"),
+    }
+}
+
 /// Full-suite chaos sweep — the CI chaos job's release-mode workload.
 #[test]
 #[ignore = "full chaos sweep; CI's chaos job runs this in release mode"]

@@ -2,19 +2,18 @@
 //! engine runs.
 //!
 //! * the structural aggregates of a `threads = 1` run are identical
-//!   across repeats (the property the CI baseline gate builds on);
+//!   across repeats;
 //! * per-track self times sum to the track's busy time and never exceed
 //!   its wall time, and the folded flamegraph export balances to the
 //!   same totals;
 //! * portfolio wasted work equals the run-span totals of the losing
 //!   entrants;
 //! * `progress` heartbeat instants carry the engine's current bound;
-//! * a baseline extracted from a run gates that same run clean, and the
-//!   JSONL round trip preserves the report exactly.
+//! * the JSONL round trip preserves the report exactly.
 
 use itpseq::mc::{Engine, Options, Telemetry};
 use itpseq::telemetry::folded::write_folded;
-use itpseq::telemetry::report::{Baseline, TraceReport};
+use itpseq::telemetry::report::TraceReport;
 use itpseq::telemetry::{ArgValue, Event, EventKind, MemorySink};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -38,8 +37,8 @@ fn record(engine: Engine, aig: &itpseq::aig::Aig, options: &Options) -> Vec<Even
     sink.snapshot()
 }
 
-/// The time-free projection of a report: everything the baseline gate
-/// may rely on (wall-clock fields are machine noise, all else repeats).
+/// The time-free projection of a report (wall-clock fields are machine
+/// noise, all else repeats).
 fn structure(report: &TraceReport) -> Vec<String> {
     let mut out: Vec<String> = report
         .spans
@@ -209,21 +208,9 @@ fn heartbeats_carry_the_current_bound() {
 }
 
 #[test]
-fn baseline_from_a_run_gates_that_run_and_jsonl_round_trips() {
+fn a_recorded_run_round_trips_through_jsonl() {
     let events = record(Engine::Portfolio, &counter(12), &options());
     let report = TraceReport::from_events(&events);
-
-    let baseline = Baseline::parse(&Baseline::from_report(&report).to_json()).expect("round trip");
-    assert!(
-        baseline.entries.iter().any(|e| e.name.ends_with(".run")),
-        "entrant run spans are gated"
-    );
-    assert!(
-        baseline.entries.iter().any(|e| e.name == "portfolio.race"),
-        "the race span is gated"
-    );
-    let comparison = report.compare(&baseline, 0.0, "self.json");
-    assert!(comparison.passed(), "{:?}", comparison.violations);
 
     // The full JSONL round trip preserves the report exactly.
     let mut jsonl = Vec::new();
@@ -231,9 +218,8 @@ fn baseline_from_a_run_gates_that_run_and_jsonl_round_trips() {
     let parsed = TraceReport::from_jsonl(&String::from_utf8(jsonl).expect("utf8"))
         .expect("recorded stream parses");
     assert_eq!(parsed, report);
-    let json = parsed.to_json(Some(&comparison));
+    let json = parsed.to_json();
     assert!(json.contains(r#""schema": "itpseq-report/v1""#), "{json}");
-    assert!(json.contains(r#""passed":true"#), "{json}");
     assert_eq!(json.matches('{').count(), json.matches('}').count());
 }
 

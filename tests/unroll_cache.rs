@@ -1,11 +1,10 @@
 //! Cross-checks of the incremental unrolling cache against the scratch
 //! path: the cached engines must report the same verdicts, counterexample
 //! depths and SAT-call counts as per-bound rebuilds, and an
-//! [`IncrementalUnroller`](itpseq::cnf::IncrementalUnroller) grown to `k`
-//! must be equisatisfiable with an
-//! [`Unroller`](itpseq::cnf::Unroller) built at `k` from scratch.
+//! [`Unroller`](itpseq::cnf::Unroller) grown to `k` and drained as it
+//! grows must be equisatisfiable with one built at `k` in one go.
 
-use itpseq::cnf::{BmcCheck, IncrementalUnroller, Unroller};
+use itpseq::cnf::{BmcCheck, Unroller};
 use itpseq::mc::{Engine, Options, Verdict};
 use itpseq::sat::{SolveResult, Solver};
 use proptest::prelude::*;
@@ -137,8 +136,8 @@ fn bmc_encoding_volume_is_linear_in_the_bound() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// An incremental unroller grown frame by frame to `k` is
-    /// equisatisfiable with a scratch unroller built at `k`, with the
+    /// An unroller grown frame by frame to `k` and drained as it grows is
+    /// equisatisfiable with one built at `k` in one go, with the
     /// initial states asserted and the bad literal as the target.
     #[test]
     fn grown_unroller_equisatisfiable_with_scratch(
@@ -150,7 +149,7 @@ proptest! {
     ) {
         let design = itpseq::workloads::counter::modular(3, modulus, bad_at);
 
-        let mut incremental = IncrementalUnroller::new(&design);
+        let mut incremental = Unroller::new(&design);
         incremental.assert_initial(0);
         for f in 1..=k {
             incremental.add_frame();
