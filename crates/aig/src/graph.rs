@@ -1,5 +1,6 @@
 //! The And-Inverter Graph data structure with structural hashing.
 
+use crate::simulate::{one_lane, WordSim};
 use crate::Lit;
 use std::collections::HashMap;
 use std::fmt;
@@ -399,44 +400,20 @@ impl Aig {
         self.and_many(lits)
     }
 
-    /// Evaluates a literal under a full assignment to inputs and latches.
+    /// Evaluates a literal under a full assignment to inputs and latches:
+    /// lane 0 of a [`WordSim`] over the
+    /// literal's cone.
     ///
     /// `inputs[i]` is the value of primary input `i` and `latches[i]` the
-    /// value of latch `i`.  Internal AND nodes are evaluated on demand.
+    /// value of latch `i`.
     ///
     /// # Panics
     ///
-    /// Panics if the slices are shorter than the respective counts.
+    /// Panics if the cone reads an input or latch past the end of its
+    /// slice.
     pub fn eval(&self, lit: Lit, inputs: &[bool], latches: &[bool]) -> bool {
-        let mut values: Vec<Option<bool>> = vec![None; self.nodes.len()];
-        values[0] = Some(false);
-        self.eval_rec(lit.node(), inputs, latches, &mut values) ^ lit.is_complemented()
-    }
-
-    fn eval_rec(
-        &self,
-        id: NodeId,
-        inputs: &[bool],
-        latches: &[bool],
-        values: &mut Vec<Option<bool>>,
-    ) -> bool {
-        if let Some(v) = values[id as usize] {
-            return v;
-        }
-        let v = match self.nodes[id as usize] {
-            AigNode::Const => false,
-            AigNode::Input { index } => inputs[index],
-            AigNode::Latch { index } => latches[index],
-            AigNode::And { left, right } => {
-                let l =
-                    self.eval_rec(left.node(), inputs, latches, values) ^ left.is_complemented();
-                let r =
-                    self.eval_rec(right.node(), inputs, latches, values) ^ right.is_complemented();
-                l && r
-            }
-        };
-        values[id as usize] = Some(v);
-        v
+        let mut sim = WordSim::new(one_lane(inputs), one_lane(latches));
+        sim.eval(self, lit) & 1 == 1
     }
 }
 

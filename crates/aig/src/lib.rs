@@ -19,7 +19,8 @@
 //! * [`builder`] — word-level helpers (adders, comparators, multiplexers,
 //!   one-hot encoders) used by the synthetic workload generators,
 //! * ASCII AIGER (`.aag`) [`reader`] and [`writer`],
-//! * [`simulate()`] — cycle-accurate three-valued-free simulation,
+//! * [`simulate()`] — cycle-accurate replay, one lane of the
+//!   bit-parallel [`WordSim`] (64 patterns per machine word),
 //! * [`coi`] — sequential cone-of-influence extraction used by the
 //!   localization abstraction of the CBA engine,
 //! * [`passes`] — the preprocessing pass pipeline (structural hashing,
@@ -60,5 +61,5 @@ pub mod writer;
 pub use graph::{Aig, AigNode, LatchId, NodeId, VarKind};
 pub use literal::Lit;
 pub use reader::{parse_aag, ParseAagError};
-pub use simulate::{simulate, SimTrace};
+pub use simulate::{simulate, SimTrace, WordSim};
 pub use writer::to_aag;

@@ -9,10 +9,12 @@
 //! * `--suite full|mid|industrial|smoke` — benchmark selection (default
 //!   `full`; `smoke` is the fast subset CI reruns on every push),
 //! * `--json PATH` — additionally write the records as machine-readable
-//!   JSON (schema `itpseq-table1/v8`, which adds `interpolants` on top
-//!   of v7's `containment_calls`, the fixpoint checks' share of
-//!   `sat_calls`, and v6's fault-isolation counters `panics_contained`,
-//!   `memlimit_hits`, `faults_injected` and `pool_seq_reruns`), the
+//!   JSON (schema `itpseq-table1/v9`, which adds `containment_simulated`,
+//!   the fixpoint checks a witness state refuted without a query, on top
+//!   of v8's `interpolants`, v7's `containment_calls`, the fixpoint
+//!   checks' share of `sat_calls`, and v6's fault-isolation counters
+//!   `panics_contained`, `memlimit_hits`, `faults_injected` and
+//!   `pool_seq_reruns`), the
 //!   artifact CI uploads and the depth baseline is checked against,
 //! * `--chaos SEED` — arm a deterministic fault plan per run, derived
 //!   from `SEED` and the run index ([`mc::FaultPlan::seeded`]): each run

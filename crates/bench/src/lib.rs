@@ -8,9 +8,10 @@
 //!   `Time / k_fp / j_fp` per engine (now including the racing
 //!   portfolio); `--suite` selects a benchmark subset and `--json`
 //!   additionally emits the machine-readable records CI archives
-//!   (schema `itpseq-table1/v8`, which adds `interpolants` on top of
-//!   v7's `containment_calls`, the fixpoint checks' share of
-//!   `sat_calls`, and v6's fault-isolation counters
+//!   (schema `itpseq-table1/v9`, which adds `containment_simulated`,
+//!   the fixpoint checks refuted by a witness state without a query, on
+//!   top of v8's `interpolants`, v7's `containment_calls`, the fixpoint
+//!   checks' share of `sat_calls`, and v6's fault-isolation counters
 //!   `panics_contained`/`memlimit_hits`/`faults_injected`/
 //!   `pool_seq_reruns`),
 //! * `fig7` — the exact-k versus assume-k scatter for ITPSEQ,
@@ -125,7 +126,8 @@ impl RunRecord {
                 r#""preprocess_time_ms":{:.3},"ands_removed":{},"latches_removed":{},"#,
                 r#""inputs_removed":{},"cert_clauses_subsumed":{},"#,
                 r#""panics_contained":{},"memlimit_hits":{},"faults_injected":{},"#,
-                r#""pool_seq_reruns":{},"containment_calls":{},"interpolants":{},"#,
+                r#""pool_seq_reruns":{},"containment_calls":{},"containment_simulated":{},"#,
+                r#""interpolants":{},"#,
                 r#""winner":{}}}"#
             ),
             json_escape(&self.benchmark),
@@ -157,6 +159,7 @@ impl RunRecord {
             self.result.stats.faults_injected,
             self.result.stats.pool_seq_reruns,
             self.result.stats.containment_calls,
+            self.result.stats.containment_simulated,
             self.result.stats.interpolants,
             opt_str(self.result.stats.winner),
         )
@@ -504,7 +507,7 @@ pub fn records_to_json(records: &[RunRecord]) -> String {
         .map(|record| format!("    {}", record.to_json()))
         .collect();
     format!(
-        "{{\n  \"schema\": \"itpseq-table1/v8\",\n  \"records\": [\n{}\n  ]\n}}\n",
+        "{{\n  \"schema\": \"itpseq-table1/v9\",\n  \"records\": [\n{}\n  ]\n}}\n",
         body.join(",\n")
     )
 }
@@ -623,6 +626,7 @@ mod tests {
                     faults_injected: 3,
                     pool_seq_reruns: 4,
                     containment_calls: 6,
+                    containment_simulated: 8,
                     interpolants: 4,
                     ..Default::default()
                 },
@@ -652,6 +656,7 @@ mod tests {
         assert!(proved.contains(r#""faults_injected":3"#), "{proved}");
         assert!(proved.contains(r#""pool_seq_reruns":4"#), "{proved}");
         assert!(proved.contains(r#""containment_calls":6"#), "{proved}");
+        assert!(proved.contains(r#""containment_simulated":8"#), "{proved}");
         assert!(proved.contains(r#""interpolants":4"#), "{proved}");
         let falsified = mk(Verdict::Falsified { depth: 7 }).to_json();
         assert!(falsified.contains(r#""depth":7"#), "{falsified}");
@@ -683,7 +688,7 @@ mod tests {
             mk(Verdict::Proved { k_fp: 1, j_fp: 1 }),
             mk(Verdict::Falsified { depth: 2 }),
         ]);
-        assert!(document.contains("itpseq-table1/v8"));
+        assert!(document.contains("itpseq-table1/v9"));
         assert_eq!(document.matches("\"benchmark\"").count(), 2);
         let opens = document.matches('{').count();
         assert_eq!(opens, document.matches('}').count());

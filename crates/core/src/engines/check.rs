@@ -16,7 +16,6 @@ use crate::EngineStats;
 use cnf::{Clause, Shift};
 use itp::InterpolationContext;
 use sat::ProofView;
-use std::collections::HashMap;
 
 /// The interpolants at the partition cuts `cuts` of a refutation, read
 /// in place: the engines' one interpolant reader.  Every variable shared
@@ -32,20 +31,28 @@ pub(crate) fn interpolants(
     space: &mut StateSpace,
     stats: &mut EngineStats,
 ) -> Result<Vec<aig::Lit>, String> {
-    let mut var_to_latch: HashMap<u32, usize> = HashMap::new();
+    // `latch_of[v]` is the space literal of check variable `v`, for the
+    // frame latch variables.
+    let len = frame_latches
+        .iter()
+        .flatten()
+        .map(|lit| lit.var().index() as usize + 1)
+        .max()
+        .unwrap_or(0);
+    let mut latch_of = vec![None; len];
     for lits in frame_latches {
         for (model_latch, lit) in lits.iter().enumerate() {
-            var_to_latch.insert(lit.var().index(), latch_map[model_latch]);
+            latch_of[lit.var().index() as usize] = Some(space.latch(latch_map[model_latch]));
         }
     }
-    let latch_lits: Vec<aig::Lit> = (0..space.num_latches()).map(|i| space.latch(i)).collect();
     let ctx = InterpolationContext::new(proof).map_err(|e| e.to_string())?;
     let itps = ctx
         .sequence_for_cuts(cuts, space.manager_mut(), &|_, v| {
-            let latch = *var_to_latch
-                .get(&v.index())
-                .expect("shared interpolant variables are frame latch variables");
-            latch_lits[latch]
+            latch_of
+                .get(v.index() as usize)
+                .copied()
+                .flatten()
+                .expect("shared interpolant variables are frame latch variables")
         })
         .map_err(|e| e.to_string())?;
     stats.interpolants += itps.len() as u64;

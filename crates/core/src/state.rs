@@ -17,10 +17,20 @@
 //! A check `a ⇒ b` is then a single solve under the assumptions `a ∧ ¬b`,
 //! and it encodes only the nodes the growing `R_{j-1}` gained since the
 //! previous check.
+//!
+//! Almost every check is satisfiable, and most are satisfied by a state an
+//! earlier satisfiable check already found.  So each model's latch values
+//! go into a ring of up to 64 witness states, one per bit lane of an
+//! [`aig::WordSim`] over the manager, and a check first evaluates
+//! `a ∧ ¬b` on the filled lanes, over the cones of `a` and `b` only.  A
+//! lane in `a ∧ ¬b` refutes the implication without a query ("simulate
+//! before you call SAT", as in FRAIGs); otherwise the solver decides.
+//! Either way the answer is a fact about the two sets, so the engines ask
+//! the same checks and get the same answers; only solver work drops.
 
 use crate::engines::run::EngineRun;
 use crate::EngineStats;
-use aig::{Aig, AigNode};
+use aig::{Aig, AigNode, WordSim};
 use cnf::CnfBuilder;
 use sat::{IncrementalSolver, SolveResult};
 use std::collections::HashMap;
@@ -45,6 +55,13 @@ pub struct StateSpace {
     /// `encoded[n]` is the solver literal of manager node `n`, once a
     /// query has reached it.
     encoded: Vec<Option<cnf::Lit>>,
+    /// Witness states of earlier satisfiable checks, one per lane: input
+    /// `i` of the simulator is latch `i`.
+    witnesses: WordSim,
+    /// The lanes holding a witness.
+    filled: u64,
+    /// The lane the next witness overwrites.
+    next_lane: u32,
     telemetry: Telemetry,
 }
 
@@ -61,6 +78,9 @@ impl StateSpace {
             latch_inputs,
             solver: run.incremental(),
             encoded: Vec::new(),
+            witnesses: WordSim::new(vec![0; num_latches], Vec::new()),
+            filled: 0,
+            next_lane: 0,
             telemetry: run.telemetry().clone(),
         }
     }
@@ -70,6 +90,8 @@ impl StateSpace {
     /// abandons every state set built so far (ITP restarting `R` from
     /// `S0` at a new bound): the dead encodings would otherwise stay in
     /// the solver, and every satisfiable query would assign them all.
+    /// The witness states stay: they are states, whatever set they
+    /// were found for.
     pub(crate) fn restart_solver(&mut self, run: &EngineRun<'_>) {
         self.solver = run.incremental();
         self.encoded.clear();
@@ -114,11 +136,13 @@ impl StateSpace {
         self.mgr.or(a, b)
     }
 
-    /// Checks the implication `a ⇒ b` with one query `a ∧ ¬b` on the run's
-    /// containment solver, inside a `contain` span.  The query counts in
-    /// `stats` as a SAT call and a containment call, with its solver work
-    /// and the definitions it newly encoded.  Trivial implications are
-    /// answered without a query.
+    /// Checks the implication `a ⇒ b`.  Trivial implications are
+    /// answered at once.  A witness state in `a ∧ ¬b` refutes it inside a
+    /// `simulate` span, counted in `stats.containment_simulated`.
+    /// Otherwise one query `a ∧ ¬b` on the run's containment solver
+    /// decides it, inside a `contain` span; the query counts in `stats` as
+    /// a SAT call and a containment call, with its solver work and the
+    /// definitions it newly encoded, and a model becomes a witness.
     pub fn implies(
         &mut self,
         a: aig::Lit,
@@ -127,6 +151,10 @@ impl StateSpace {
     ) -> Result<bool, Interrupted> {
         if a == aig::Lit::FALSE || b == aig::Lit::TRUE || a == b {
             return Ok(true);
+        }
+        if self.witnessed(a, b) {
+            stats.containment_simulated += 1;
+            return Ok(false);
         }
         let _contain = self.telemetry.span("contain");
         let encode_start = Instant::now();
@@ -142,9 +170,41 @@ impl StateSpace {
         stats.add_solver_delta(self.solver.stats() - before);
         match result {
             SolveResult::Unsat => Ok(true),
-            SolveResult::Sat => Ok(false),
+            SolveResult::Sat => {
+                self.record_witness();
+                Ok(false)
+            }
             SolveResult::Interrupted => Err(Interrupted),
         }
+    }
+
+    /// Whether some witness state lies in `a ∧ ¬b`.
+    fn witnessed(&mut self, a: aig::Lit, b: aig::Lit) -> bool {
+        if self.filled == 0 {
+            return false;
+        }
+        let _simulate = self.telemetry.span("simulate");
+        let in_a = self.witnesses.eval(&self.mgr, a) & self.filled;
+        in_a != 0 && in_a & !self.witnesses.eval(&self.mgr, b) != 0
+    }
+
+    /// Stores the latch values of the solver's model in the next witness
+    /// lane; a latch no query has encoded reads `false`.
+    fn record_witness(&mut self) {
+        let bit = 1u64 << self.next_lane;
+        let encoded = &self.encoded;
+        let solver = &self.solver;
+        for (latch, lanes) in self.latch_inputs.iter().zip(self.witnesses.inputs_mut()) {
+            let value = encoded
+                .get(latch.node() as usize)
+                .copied()
+                .flatten()
+                .and_then(|lit| solver.lit_value(lit))
+                .unwrap_or(false);
+            *lanes = if value { *lanes | bit } else { *lanes & !bit };
+        }
+        self.filled |= bit;
+        self.next_lane = (self.next_lane + 1) % u64::BITS;
     }
 
     /// Returns the solver literal of `root`, first adding the definitions
@@ -314,12 +374,41 @@ mod tests {
         assert!(implies(ab, a));
         assert!(implies(ab, a_or_b));
         assert!(implies(a, a_or_b));
-        assert!(!implies(a_or_b, ab));
+        // The model of this query, `a ∧ ¬b`, becomes a witness state ...
         assert!(!implies(a, b));
+        // ... which refutes this check without a query.
+        assert!(!implies(a_or_b, ab));
         assert!(implies(aig::Lit::FALSE, a));
         assert!(implies(a, aig::Lit::TRUE));
-        assert_eq!(stats.containment_calls, 5, "trivial checks need no query");
-        assert_eq!(stats.sat_calls, 5);
+        assert_eq!(
+            stats.containment_calls, 4,
+            "trivial and witnessed checks need no query"
+        );
+        assert_eq!(stats.containment_simulated, 1);
+        assert_eq!(stats.sat_calls, 4);
+    }
+
+    /// Only a witness in `a ∧ ¬b` refutes a check: witnesses outside `a`
+    /// or inside `b` leave it to the solver.
+    #[test]
+    fn witnesses_refute_only_what_they_violate() {
+        let mut ss = space(3);
+        let (a, b, c) = (ss.latch(0), ss.latch(1), ss.latch(2));
+        let mut stats = EngineStats::default();
+        // Lane 0: a ∧ ¬b (latch 2 unencoded, so it reads false).
+        assert_eq!(ss.implies(a, b, &mut stats), Ok(false));
+        assert_eq!(ss.witnesses.inputs(), &[1, 0, 0]);
+        // A witness outside `a`, or inside `b`, leaves the check to the
+        // solver.
+        assert_eq!(ss.implies(b, a, &mut stats), Ok(false));
+        let a_not_b = ss.and(a, !b);
+        assert_eq!(ss.implies(a, a_not_b, &mut stats), Ok(false));
+        assert_eq!(stats.containment_simulated, 0);
+        assert_eq!(stats.containment_calls, 3);
+        // Lane 0 (a, ¬b, ¬c) lies in `a ∧ ¬c`.
+        assert_eq!(ss.implies(a, c, &mut stats), Ok(false));
+        assert_eq!(stats.containment_simulated, 1);
+        assert_eq!(stats.sat_calls, 3);
     }
 
     /// Truth table of `set` over every valuation of (at most 8) latches.
@@ -374,6 +463,12 @@ mod tests {
                 }
             }
             assert!(stats.containment_calls > 0);
+            if num_latches > 1 {
+                assert!(
+                    stats.containment_simulated > 0,
+                    "{num_latches} latches: no check was refuted by a witness"
+                );
+            }
         }
     }
 

@@ -188,6 +188,10 @@ pub struct EngineStats {
     /// query, each also counted in `sat_calls`; implications that hold
     /// structurally need no query and are not counted.
     pub containment_calls: u64,
+    /// Fixpoint containment checks refuted without a query: a witness
+    /// state of an earlier satisfiable check lies in `ℐ_j ∧ ¬R_{j-1}`
+    /// (bit-parallel simulation, not counted in `sat_calls`).
+    pub containment_simulated: u64,
     /// Number of abstraction refinements (CBA engine only).
     pub refinements: u64,
     /// Number of latches visible in the final abstraction (CBA engine only;
@@ -263,6 +267,7 @@ impl EngineStats {
         self.db_reductions += other.db_reductions;
         self.interpolants += other.interpolants;
         self.containment_calls += other.containment_calls;
+        self.containment_simulated += other.containment_simulated;
         self.refinements += other.refinements;
         self.visible_latches = self.visible_latches.max(other.visible_latches);
         self.preprocess_time += other.preprocess_time;
@@ -317,6 +322,13 @@ impl fmt::Display for EngineStats {
         }
         if self.containment_calls > 0 {
             write!(f, ", {} containment checks", self.containment_calls)?;
+        }
+        if self.containment_simulated > 0 {
+            write!(
+                f,
+                ", {} containment checks simulated",
+                self.containment_simulated
+            )?;
         }
         if self.refinements > 0 {
             write!(f, ", {} refinements", self.refinements)?;

@@ -4,14 +4,15 @@
 Each ``--kind`` is one checked artifact contract (previously an inline
 script in ``.github/workflows/ci.yml``):
 
-* ``table1-counters FILE`` — ``itpseq-table1/v8`` JSON: every record
+* ``table1-counters FILE`` — ``itpseq-table1/v9`` JSON: every record
   carries the SAT-core and search counters, the preprocessing reduction
-  counters, the fault-isolation counters and ``containment_calls``; the
-  suite as a whole exercised minimization, clause deletion and database
-  reduction, and each interpolation engine (ITP, ITPSEQ, SITPSEQ,
-  ITPSEQCBA) counted fixpoint containment queries on at least one proved
-  record.
-* ``table1-depths FILE BASELINE`` — ``itpseq-table1/v8`` JSON of
+  counters, the fault-isolation counters, ``containment_calls`` and
+  ``containment_simulated``; the suite as a whole exercised
+  minimization, clause deletion and database reduction, and each
+  interpolation engine (ITP, ITPSEQ, SITPSEQ, ITPSEQCBA) counted
+  fixpoint containment queries on at least one proved record and
+  refuted at least one check from a witness state without a query.
+* ``table1-depths FILE BASELINE`` — ``itpseq-table1/v9`` JSON of
   ``table1 --suite full`` against ``baselines/table1-depths.json``: for
   every benchmark and each sequential engine (ITP, ITPSEQ, SITPSEQ,
   ITPSEQCBA, PDR), the verdict kind, ``k_fp``/``j_fp`` or the falsified depth,
@@ -20,7 +21,7 @@ script in ``.github/workflows/ci.yml``):
   inconclusive on either side (a timeout on a slow runner) is listed, not
   failed.  ``--update`` rewrites BASELINE from FILE instead, for a change
   that moves these numbers on purpose.
-* ``chaos-counters FILE`` — ``itpseq-table1/v8`` JSON from a ``--chaos``
+* ``chaos-counters FILE`` — ``itpseq-table1/v9`` JSON from a ``--chaos``
   run: fault injection was armed, so the counters must show faults
   actually fired, every verdict must still be a recognised kind, and
   every inconclusive record must carry a machine-readable reason.
@@ -66,7 +67,7 @@ FAULT_COUNTERS = [
 
 def load_table1(path):
     doc = json.load(open(path))
-    assert doc["schema"] == "itpseq-table1/v8", doc["schema"]
+    assert doc["schema"] == "itpseq-table1/v9", doc["schema"]
     records = doc["records"]
     assert records, "the run produced no records"
     return records
@@ -90,7 +91,8 @@ def check_table1_counters(path):
         "cert_clauses_subsumed",
     ]
     for record in records:
-        for field in reduction + FAULT_COUNTERS + ["containment_calls"]:
+        containment = ["containment_calls", "containment_simulated"]
+        for field in reduction + FAULT_COUNTERS + containment:
             assert field in record, f"{field} missing from {record['benchmark']}"
 
     for record in records:
@@ -113,7 +115,14 @@ def check_table1_counters(path):
         assert proved, f"{engine} proved nothing on the smoke suite"
         calls = max(r["containment_calls"] for r in proved)
         assert calls > 0, f"{engine} proved without a counted containment query"
-        print(f"{engine}: up to {calls} containment calls per proof")
+        # Almost every fixpoint check is satisfiable, and the witness
+        # states of earlier ones refute most of them without a query.
+        simulated = sum(r["containment_simulated"] for r in records if r["engine"] == engine)
+        assert simulated > 0, f"{engine} refuted no containment check by simulation"
+        print(
+            f"{engine}: up to {calls} containment calls per proof, "
+            f"{simulated} checks refuted by simulation"
+        )
     # Without injection armed, no run may report a fault.
     injected = sum(r["faults_injected"] for r in records)
     assert injected == 0, f"faults reported without injection armed: {injected}"
