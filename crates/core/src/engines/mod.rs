@@ -100,8 +100,8 @@ impl EngineProbe {
 /// `"cancelled"` — cancellation never fabricates a verdict.
 ///
 /// Clones share the flag: [`Engine::Portfolio`](crate::Engine::Portfolio)
-/// hands one token per entrant to its workers and cancels the losers as
-/// soon as a conclusive verdict arrives.
+/// hands one token per entrant to its workers and cancels them all once
+/// every raced property is decided.
 ///
 /// ```
 /// use mc::{CancelToken, Engine, Options, Verdict};
@@ -145,23 +145,6 @@ impl CancelToken {
     /// ([`sat::Solver::set_interrupt`]).
     pub fn flag(&self) -> Arc<AtomicBool> {
         Arc::clone(&self.flag)
-    }
-}
-
-/// The stop decision shared by the engine main loops: cancellation takes
-/// precedence over the wall-clock budget, and the returned reason is the
-/// `Verdict::Inconclusive` reason.
-pub(crate) fn stop_reason(
-    cancel: &CancelToken,
-    start: std::time::Instant,
-    timeout: std::time::Duration,
-) -> Option<StopReason> {
-    if cancel.is_cancelled() {
-        Some(StopReason::Cancelled)
-    } else if start.elapsed() > timeout {
-        Some(StopReason::Timeout)
-    } else {
-        None
     }
 }
 
@@ -264,9 +247,9 @@ impl RunBudget {
             .is_some_and(|m| m.hits() > self.mem_hits_at_arm)
     }
 
-    /// The between-bounds stop decision (see [`stop_reason`]), extended
-    /// with the memory budget — and the `Phase` fault-injection site: an
-    /// injected phase fault panics here (to be contained at the dispatch
+    /// The between-bounds stop decision: cancellation, then a memory-budget
+    /// hit, then the deadline — and the `Phase` fault-injection site: an
+    /// injected phase fault panics here (to be contained at the run's
     /// boundary) or stops the run with a spurious-interrupt reason.
     pub fn stop_reason(&self) -> Option<StopReason> {
         if let Some(kind) = self.faults.tick(sat::FaultSite::Phase) {
@@ -282,10 +265,15 @@ impl RunBudget {
                 }
             }
         }
-        if self.memory_hit() && !self.cancel.is_cancelled() {
-            return Some(StopReason::MemLimit);
+        if self.cancel.is_cancelled() {
+            Some(StopReason::Cancelled)
+        } else if self.memory_hit() {
+            Some(StopReason::MemLimit)
+        } else if self.start.elapsed() > self.timeout {
+            Some(StopReason::Timeout)
+        } else {
+            None
         }
-        stop_reason(&self.cancel, self.start, self.timeout)
     }
 
     /// The reason behind a [`sat::SolveResult::Interrupted`] answer:

@@ -8,7 +8,8 @@
 //! is the only way engine code gets a SAT solver: [`solve_check`],
 //! [`incremental`] and [`incremental_with_base`] each install the reduce
 //! interval, the interrupt flag, the memory budget, the fault plan and
-//! the progress probe.
+//! the progress probe.  [`contain`] is the one containment boundary
+//! around every engine run.
 //!
 //! [`solve_check`]: EngineRun::solve_check
 //! [`incremental`]: EngineRun::incremental
@@ -17,13 +18,68 @@
 use crate::certificate::Certificate;
 use crate::engines::check::Check;
 use crate::engines::{CancelToken, EngineProbe, RunBudget};
-use crate::{EngineResult, EngineStats, MultiResult, Options, PropertyStatus, StopReason, Verdict};
+use crate::{
+    Engine, EngineResult, EngineStats, MultiResult, Options, PropertyStatus, StopReason, Verdict,
+};
 use aig::Aig;
 use cnf::{Clause, Cnf, Lit};
 use sat::{IncrementalSolver, SolveResult, Solver};
-use std::sync::{Arc, OnceLock};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::OnceLock;
 use std::time::Instant;
 use telemetry::{ArgValue, Span, Telemetry};
+
+/// The one containment boundary of a run of `engine` on `props`
+/// properties: a single-property [`Engine::dispatch`], an amortized
+/// `verify_all` backend or a race entrant.  It alone counts, once per run:
+///
+/// * `panics_contained`: a panic in `run`, injected or not, becomes
+///   [`StopReason::Panic`] for every property;
+/// * `faults_injected`: the fault plan's one firing, at the first boundary
+///   to end after it, however many concurrent runs share the plan;
+/// * `memlimit_hits`: a run that stopped any property on
+///   [`StopReason::MemLimit`].
+pub(crate) fn contain(
+    engine: Engine,
+    props: usize,
+    options: &Options,
+    run: impl FnOnce() -> MultiResult,
+) -> MultiResult {
+    let start = Instant::now();
+    let engine_arg = || ("engine", ArgValue::Str(engine.name().to_string()));
+    let mut result = catch_unwind(AssertUnwindSafe(run)).unwrap_or_else(|payload| {
+        let message = crate::types::panic_message(payload.as_ref());
+        options.telemetry.instant_args("fault", || {
+            vec![engine_arg(), ("panic", ArgValue::Str(message.clone()))]
+        });
+        let reason = StopReason::Panic(message);
+        let status = PropertyStatus::Inconclusive {
+            reason,
+            bound_reached: 0,
+        };
+        let stats = EngineStats {
+            time: start.elapsed(),
+            panics_contained: 1,
+            ..EngineStats::default()
+        };
+        MultiResult {
+            statuses: vec![status; props],
+            stats,
+        }
+    });
+    result.stats.faults_injected += u64::from(options.faults.take_fired());
+    let memlimit = |status: &PropertyStatus| match status {
+        PropertyStatus::Inconclusive { reason, .. } => *reason == StopReason::MemLimit,
+        _ => false,
+    };
+    if result.statuses.iter().any(memlimit) {
+        result.stats.memlimit_hits += 1;
+        options
+            .telemetry
+            .instant_args("memlimit", || vec![engine_arg()]);
+    }
+    result
+}
 
 /// The per-run context of one engine run (see the module docs).
 ///
@@ -144,15 +200,8 @@ impl<'a> EngineRun<'a> {
     /// Ends a single-property run with the status its loop decided; the
     /// status's evidence becomes the certificate.
     pub fn finish_status(self, status: PropertyStatus) -> EngineResult {
-        let verdict = status.verdict();
-        let certificate = match status {
-            PropertyStatus::Proved { cert, .. } => {
-                cert.map(|inv| Certificate::Invariant(Arc::unwrap_or_clone(inv)))
-            }
-            PropertyStatus::Falsified { cex, .. } => cex.map(Certificate::Trace),
-            PropertyStatus::Inconclusive { .. } => None,
-        };
-        self.finish(verdict, certificate)
+        let result = status.into_result(EngineStats::default());
+        self.finish(result.verdict, result.certificate)
     }
 
     /// Ends a multi-property run with one status per property.

@@ -50,10 +50,9 @@ use telemetry::ArgValue;
 /// `props[i]`.
 ///
 /// With a [`RetireBoard`], conclusive statuses are published there and
-/// properties the *other* backend already decided are dropped from the
+/// properties another race entrant already decided are dropped from the
 /// live set (their returned status is an `Inconclusive` placeholder with
-/// reason `"retired"`; the scheduler replaces it with the board's
-/// answer).
+/// reason `"retired"`; the race adopts the decider's status).
 pub(crate) fn verify_all_with_cancel(
     aig: &Aig,
     props: &[usize],

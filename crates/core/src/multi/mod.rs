@@ -20,10 +20,14 @@
 //!   properties retire individually on counterexamples, and a converged
 //!   frame proves every surviving property at once.
 //! * [`scheduler`] — the **property scheduler** behind
-//!   [`Engine::Portfolio`]: each property group races multi-PDR against
-//!   multi-BMC on its own threads, and a shared retirement board gives
-//!   per-property cancellation: the moment one backend decides a
-//!   property, the other stops spending work on it.
+//!   [`Engine::Portfolio`]: each property group runs the portfolio's one
+//!   race (`engines::portfolio::race`) of multi-PDR against
+//!   multi-BMC, whose shared retirement board gives per-property
+//!   cancellation: the moment one backend decides a property, the other
+//!   stops spending work on it.
+//!
+//! Every backend run passes the one containment boundary of engine runs
+//! (`backend`): a panic costs only the statuses of its run.
 //!
 //! # Cone-of-influence slicing
 //!
@@ -100,24 +104,6 @@ use std::sync::Mutex;
 use std::time::Instant;
 use telemetry::{ArgValue, Telemetry};
 
-/// The dispatch behind [`Engine::verify_all_with_cancel`]: the staged
-/// pipeline entry.  The design is reduced once by the preprocessing
-/// passes, the backends run on the reduced model (each property group on
-/// its own narrowed model, see [`verify_all_inner`]), and statuses are
-/// reconstructed to original-design coordinates.
-pub(crate) fn verify_all_with_engine(
-    aig: &Aig,
-    engine: Engine,
-    options: &Options,
-    cancel: &CancelToken,
-) -> MultiResult {
-    if !options.preprocess.enabled() {
-        return verify_all_inner(aig, engine, options, cancel, None);
-    }
-    let prepared = crate::pipeline::prepare(aig, options);
-    prepared.verify_all_with_cancel(engine, options, cancel)
-}
-
 /// The narrowing step between [`Prepared::verify_all_with_cancel`] and
 /// the backends: partitions the properties of `aig` into groups, decides
 /// each group on its own narrowed model, and merges the statuses back in
@@ -140,7 +126,7 @@ pub(crate) fn verify_all_inner(
     let num_props = aig.num_bad();
     if engine == Engine::Bmc {
         let props: Vec<usize> = (0..num_props).collect();
-        return bmc::verify_all_with_cancel(aig, &props, options, cancel, None);
+        return backend(aig, &props, engine, options, cancel, None);
     }
     let groups = partition(aig, engine, cois);
     options.telemetry.instant_args("coi.groups", || {
@@ -159,12 +145,8 @@ pub(crate) fn verify_all_inner(
         groups
             .iter()
             .map(|members| {
-                Slice::new(aig, members, narrow, options).run(|model, props| match engine {
-                    Engine::Pdr => crate::engines::pdr::verify_all_with_cancel(
-                        model, props, options, cancel, None,
-                    ),
-                    other => fallback_loop(model, props, other, options, cancel),
-                })
+                Slice::new(aig, members, narrow, options)
+                    .run(|model, props| backend(model, props, engine, options, cancel, None))
             })
             .collect()
     };
@@ -241,6 +223,29 @@ impl<'a> Slice<'a> {
     }
 }
 
+/// One run of `engine` on the properties `props` of `aig`, statuses
+/// indexed like `props`: the amortized multi-BMC or multi-PDR backend,
+/// racing over `board` when given, inside the one containment boundary;
+/// for the other engines the per-property [`fallback_loop`], whose runs
+/// each pass the boundary themselves.
+pub(crate) fn backend(
+    aig: &Aig,
+    props: &[usize],
+    engine: Engine,
+    options: &Options,
+    cancel: &CancelToken,
+    board: Option<&RetireBoard>,
+) -> MultiResult {
+    let amortized = match engine {
+        Engine::Bmc => bmc::verify_all_with_cancel,
+        Engine::Pdr => crate::engines::pdr::verify_all_with_cancel,
+        other => return fallback_loop(aig, props, other, options, cancel),
+    };
+    crate::engines::run::contain(engine, props.len(), options, || {
+        amortized(aig, props, options, cancel, board)
+    })
+}
+
 /// The non-amortized reference: one engine run per property, directly on
 /// `aig` (the caller has already preprocessed and narrowed when asked
 /// to).  The `verify_all` backend of the engines without a multi backend
@@ -268,12 +273,14 @@ pub(crate) fn fallback_loop(
     MultiResult { statuses, stats }
 }
 
-/// The shared retirement board of a racing property group: the backends
-/// working on the same properties publish conclusive statuses here, and
-/// poll it to stop spending work on properties the other backend already
-/// decided — per-property cancellation without tearing down either run.
+/// The shared retirement board of a race
+/// ([`crate::engines::portfolio::race`]): the entrants working on the
+/// same properties publish conclusive statuses here, and the amortized
+/// backends poll it to stop spending work on properties another entrant
+/// already decided — per-property cancellation without tearing down
+/// either run.
 ///
-/// Slots are indexed like the `props` slice handed to the backends.  The
+/// Slots are indexed like the `props` slice handed to the entrants.  The
 /// first publisher of a slot wins; later answers for the same property
 /// (the race window) are dropped — they agree on kind and depth by the
 /// determinism contract, so nothing is lost.
@@ -289,6 +296,11 @@ impl RetireBoard {
             slots: (0..n).map(|_| Mutex::new(None)).collect(),
             retired: (0..n).map(|_| AtomicBool::new(false)).collect(),
         }
+    }
+
+    /// Returns `true` once every property is decided.
+    pub fn is_full(&self) -> bool {
+        self.retired.iter().all(|slot| slot.load(Ordering::Acquire))
     }
 
     /// Returns `true` once some backend has decided property `slot`.
@@ -397,25 +409,16 @@ impl<'a> StatusSlots<'a> {
         }
     }
 
-    /// Records a `"retired"` placeholder for every undecided slot the
-    /// other backend already decided (the scheduler replaces placeholders
-    /// with the board's answers).
+    /// Records a `"retired"` placeholder for every undecided slot another
+    /// entrant already decided (the race adopts that entrant's status).
     pub fn sync_board(&mut self, bound_reached: usize) {
-        let Some(board) = self.board else { return };
-        for (i, slot) in self.slots.iter_mut().enumerate() {
-            if slot.is_none() && board.is_retired(i) {
-                self.telemetry
-                    .instant_args("prop.retired", || vec![("prop", ArgValue::U64(i as u64))]);
-                *slot = Some(PropertyStatus::Inconclusive {
-                    reason: StopReason::Retired,
-                    bound_reached,
-                });
-            }
+        for i in 0..self.slots.len() {
+            self.yield_if_retired(i, bound_reached);
         }
     }
 
     /// The in-loop form of [`sync_board`](Self::sync_board): yields slot
-    /// `i` (recording the placeholder) when the other backend retired it
+    /// `i` (recording the placeholder) when another entrant retired it
     /// mid-round; returns `true` when the caller must skip the property.
     pub fn yield_if_retired(&mut self, i: usize, bound_reached: usize) -> bool {
         if self.slots[i].is_some() {
@@ -491,7 +494,8 @@ mod tests {
 
     #[test]
     fn fallback_loop_matches_per_property_runs() {
-        let aig = workloads_counter();
+        // One failing (depth 2) and one holding property.
+        let aig = workloads::counter::modular_multi(2, 3, &[2, 3]);
         let options = Options::default().with_max_bound(12);
         let multi = fallback_loop(&aig, &[0, 1], Engine::ItpSeq, &options, &CancelToken::new());
         assert_eq!(multi.statuses.len(), 2);
@@ -500,23 +504,5 @@ mod tests {
             assert!(status.agrees_with(&single.verdict), "property {prop}");
         }
         assert!(multi.stats.sat_calls > 0);
-    }
-
-    /// A counter with one failing (depth 2) and one holding property.
-    fn workloads_counter() -> Aig {
-        let mut aig = Aig::new();
-        let (ids, bits) = aig::builder::latch_word(&mut aig, 2, 0);
-        let wrap = aig::builder::word_equals_const(&mut aig, &bits, 2);
-        let inc = aig::builder::word_increment(&mut aig, &bits, aig::Lit::TRUE);
-        let zero = aig::builder::word_const(2, 0);
-        let next = aig::builder::word_mux(&mut aig, wrap, &zero, &inc);
-        for (id, n) in ids.iter().zip(next.iter()) {
-            aig.set_next(*id, *n);
-        }
-        for threshold in [2u64, 3] {
-            let bad = aig::builder::word_equals_const(&mut aig, &bits, threshold);
-            aig.add_bad(bad);
-        }
-        aig
     }
 }

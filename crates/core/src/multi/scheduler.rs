@@ -1,64 +1,31 @@
 //! The property scheduler behind `Engine::Portfolio.verify_all`.
 //!
-//! Two observations shape the schedule:
+//! Properties whose cones of influence share no latches gain nothing from
+//! a shared frame trace or unrolling, so the scheduler decides each
+//! COI-overlap group of [`crate::multi`] on its own narrowed model.
+//! Within a group no backend dominates (the portfolio argument: multi-BMC
+//! retires failing properties fastest, multi-PDR is the prover), so each
+//! group runs the portfolio's one race (`portfolio::race`) of
+//! `GROUP_ENTRANTS`: the moment one backend decides a property, the
+//! other sees the retirement at its next bound/level and stops spending
+//! work on it, without tearing down the solver state the survivors use.
 //!
-//! 1. Properties whose sequential cones of influence share no latches
-//!    gain nothing from a shared frame trace or unrolling — their
-//!    reachable-state facts are disjoint.  The scheduler therefore gets
-//!    the COI-overlap groups of the shared narrowing step in
-//!    [`crate::multi`], and decides each group on its own narrowed model
-//!    (the design re-prepared for the group's properties alone), so each
-//!    group's engine instances encode only its members' cones.
-//! 2. Within a group, no single backend dominates (the portfolio
-//!    argument): multi-BMC retires failing properties fastest, multi-PDR
-//!    is the prover.  Each group therefore *races* the two on their own
-//!    threads, connected by a retirement board: the moment one backend
-//!    decides a property, the other sees the retirement at its next
-//!    bound/level and stops spending work on it — per-property
-//!    cancellation that never tears down the shared solver state the
-//!    survivors depend on.
-//!
-//! Groups run concurrently, one pair of racing threads each, with at
-//! most [`Options::effective_threads`] groups in flight at a time; the
-//! outer [`CancelToken`] reaches every backend.  As with the single-property
-//! portfolio, racing decides *when* backends stop, never *what* they
-//! answer: status kinds and falsified depths are invariant (both
-//! backends report structurally minimal depths), while proof bookkeeping
-//! and counterexample traces depend on which backend wins the race.
+//! At most [`Options::effective_threads`] groups race at a time; the outer
+//! [`CancelToken`] reaches every race.  Racing decides *when* backends
+//! stop, never *what* they answer: status kinds and falsified depths are
+//! invariant, while proof bookkeeping and counterexample traces depend on
+//! which backend's status is adopted.
 
+use crate::engines::portfolio::{self, GROUP_ENTRANTS};
 use crate::engines::CancelToken;
-use crate::multi::{bmc, RetireBoard, Slice};
-use crate::{EngineStats, MultiResult, Options, PropertyStatus, StopReason};
+use crate::multi::Slice;
+use crate::{MultiResult, Options};
 use aig::Aig;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::time::Instant;
 use telemetry::ArgValue;
 
-/// A result standing in for a faulted (panicked) backend or group: every
-/// property inconclusive with the contained panic as its reason.  The
-/// healthy racing partner's statuses win the per-property adoption (a
-/// panic carries `bound_reached` 0), so one faulted backend never costs
-/// a group its conclusive answers.
-fn faulted_result(n: usize, payload: &(dyn std::any::Any + Send)) -> MultiResult {
-    let reason = StopReason::Panic(crate::types::panic_message(payload));
-    MultiResult {
-        statuses: (0..n)
-            .map(|_| PropertyStatus::Inconclusive {
-                reason: reason.clone(),
-                bound_reached: 0,
-            })
-            .collect(),
-        stats: EngineStats {
-            panics_contained: 1,
-            ..EngineStats::default()
-        },
-    }
-}
-
-/// Decides every property group of `aig`: one racing multi-PDR/multi-BMC
-/// pair per group, each on the group's narrowed model when `narrow` (see
-/// [`Slice`]).  Returns one result per group, statuses indexed like the
-/// group's members.
+/// Decides every property group of `aig`: one race per group, each on
+/// the group's narrowed model when `narrow` (see [`Slice`]).  Returns one
+/// result per group, statuses indexed like the group's members.
 pub(crate) fn verify_all_with_cancel(
     aig: &Aig,
     groups: &[Vec<usize>],
@@ -70,10 +37,12 @@ pub(crate) fn verify_all_with_cancel(
     let _sched = telemetry.span_args("scheduler.run", || {
         vec![("props", ArgValue::U64(aig.num_bad() as u64))]
     });
+    // Each entrant runs its deterministic sequential internals: the
+    // scheduler's parallelism is the groups in flight × their entrants.
+    let race_options = options.clone().with_threads(1);
 
-    // Each group races on its own pair of threads, and at most
-    // `effective_threads` groups are in flight at once — a design with
-    // hundreds of disjoint properties (hundreds of singleton groups)
+    // At most `effective_threads` groups are in flight at once — a design
+    // with hundreds of disjoint properties (hundreds of singleton groups)
     // must not fan out hundreds of solver instances simultaneously.
     // Chunking changes scheduling only, never statuses: kinds and depths
     // are deterministic per group.
@@ -86,123 +55,48 @@ pub(crate) fn verify_all_with_cancel(
             .iter()
             .map(|members| Slice::new(aig, members, narrow, options))
             .collect();
-        let batch_results: Vec<MultiResult> = std::thread::scope(|scope| {
+        let race_options = &race_options;
+        std::thread::scope(|scope| {
             let handles: Vec<_> = slices
                 .iter()
                 .map(|slice| {
                     scope.spawn(move || {
-                        // A panicking group must not tear down the whole
-                        // schedule: contain it and report its properties
-                        // inconclusive while the other groups finish.
-                        let group_id = slice.members[0];
-                        catch_unwind(AssertUnwindSafe(|| {
-                            slice.run(|model, props| {
-                                race_group(model, props, group_id, options, cancel)
-                            })
-                        }))
-                        .unwrap_or_else(|payload| {
-                            faulted_result(slice.members.len(), payload.as_ref())
+                        let group = slice.members[0];
+                        telemetry.instant_args("group.dispatch", || {
+                            vec![
+                                ("group", ArgValue::U64(group as u64)),
+                                ("props", ArgValue::U64(slice.members.len() as u64)),
+                            ]
+                        });
+                        let tracks = format!("group{group}.");
+                        slice.run(|model, props| {
+                            let entrant = |engine, config: &_, token: &_, board: &_| {
+                                super::backend(model, props, engine, config, token, Some(board))
+                            };
+                            portfolio::race(
+                                &GROUP_ENTRANTS,
+                                props.len(),
+                                &tracks,
+                                race_options,
+                                cancel,
+                                entrant,
+                            )
                         })
                     })
                 })
                 .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("group panics are caught in the thread"))
-                .collect()
+            for handle in handles {
+                results.push(handle.join().expect("entrant runs are contained"));
+            }
         });
-        results.extend(batch_results);
     }
     results
-}
-
-/// Races multi-PDR against multi-BMC on properties `props` of `aig` (one
-/// COI group, traced as group `group_id`); statuses are indexed like
-/// `props`.
-fn race_group(
-    aig: &Aig,
-    props: &[usize],
-    group_id: usize,
-    options: &Options,
-    cancel: &CancelToken,
-) -> MultiResult {
-    let start = Instant::now();
-    let board = RetireBoard::new(props.len());
-    let telemetry = &options.telemetry;
-    telemetry.instant_args("group.dispatch", || {
-        vec![
-            ("group", ArgValue::U64(group_id as u64)),
-            ("props", ArgValue::U64(props.len() as u64)),
-        ]
-    });
-    // Each entrant runs its deterministic sequential internals (on its own
-    // named telemetry track, so concurrent groups never interleave spans);
-    // the scheduler's parallelism is groups × the two racing threads.
-    let scoped = |backend: &str| {
-        options
-            .clone()
-            .with_threads(1)
-            .with_telemetry(telemetry.scoped(&format!("group{group_id}.{backend}")))
-    };
-    let pdr_options = scoped("PDR");
-    let bmc_options = scoped("BMC");
-    let (pdr, bmc) = std::thread::scope(|scope| {
-        // Each entrant is its own containment domain: a panic in one is
-        // caught at the thread boundary and the race goes on with the
-        // survivor (its board publications up to the fault still stand).
-        let pdr = scope.spawn(|| {
-            catch_unwind(AssertUnwindSafe(|| {
-                crate::engines::pdr::verify_all_with_cancel(
-                    aig,
-                    props,
-                    &pdr_options,
-                    cancel,
-                    Some(&board),
-                )
-            }))
-        });
-        let bmc = scope.spawn(|| {
-            catch_unwind(AssertUnwindSafe(|| {
-                bmc::verify_all_with_cancel(aig, props, &bmc_options, cancel, Some(&board))
-            }))
-        });
-        (
-            pdr.join().expect("entrant panics are caught in the thread"),
-            bmc.join().expect("entrant panics are caught in the thread"),
-        )
-    });
-    let pdr = pdr.unwrap_or_else(|payload| faulted_result(props.len(), payload.as_ref()));
-    let bmc = bmc.unwrap_or_else(|payload| faulted_result(props.len(), payload.as_ref()));
-
-    let mut stats = EngineStats::default();
-    stats.absorb(&pdr.stats);
-    stats.absorb(&bmc.stats);
-    let statuses = (0..props.len())
-        .map(|i| {
-            // The board holds whoever decided first; with nothing
-            // published both entrants ran out of budget — adopt the one
-            // that got further, PDR on ties (the portfolio's precedence).
-            board.take(i).unwrap_or_else(|| {
-                let bound = |status: &PropertyStatus| match status {
-                    PropertyStatus::Inconclusive { bound_reached, .. } => *bound_reached,
-                    _ => 0,
-                };
-                if bound(&bmc.statuses[i]) > bound(&pdr.statuses[i]) {
-                    bmc.statuses[i].clone()
-                } else {
-                    pdr.statuses[i].clone()
-                }
-            })
-        })
-        .collect();
-    stats.time = start.elapsed();
-    MultiResult { statuses, stats }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Engine;
+    use crate::{Engine, PropertyStatus};
     use std::time::Duration;
 
     fn options() -> Options {

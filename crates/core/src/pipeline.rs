@@ -33,7 +33,7 @@
 //! one span per pass and a `reduction` counter sample reporting what the
 //! pass removed.
 
-use crate::certificate::{Certificate, InvariantCert, InvariantCone};
+use crate::certificate::{InvariantCert, InvariantCone};
 use crate::engines::CancelToken;
 use crate::{Engine, EngineResult, MultiResult, Options, PropertyStatus};
 use aig::coi::Coi;
@@ -141,15 +141,11 @@ impl Prepared {
         options: &Options,
         cancel: &CancelToken,
     ) -> EngineResult {
-        let mut result = engine.dispatch(&self.aig, bad_index, options, cancel);
-        self.absorb_stats(&mut result.stats);
-        if let Some(certificate) = result.certificate.take() {
-            result.certificate = Some(match certificate {
-                Certificate::Invariant(inv) => Certificate::Invariant(self.lift_invariant(&inv)),
-                Certificate::Trace(frames) => Certificate::Trace(self.recon.lift_inputs(&frames)),
-            });
-        }
-        result
+        let mut result = engine
+            .dispatch(&self.aig, bad_index, options, cancel)
+            .into();
+        self.lift_multi(&mut result);
+        result.into_single()
     }
 
     /// Runs `engine` over every property of the reduced model (see
@@ -181,7 +177,7 @@ impl Prepared {
         result
     }
 
-    /// Reconstructs a multi-property result on the reduced model: folds
+    /// Reconstructs a result on the reduced model: folds
     /// in the preprocessing accounting and lifts traces and certificates
     /// back to original-design coordinates.
     pub(crate) fn lift_multi(&self, result: &mut MultiResult) {
@@ -282,7 +278,7 @@ impl Prepared {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Verdict;
+    use crate::{Certificate, Verdict};
     use aig::Lit;
 
     /// chain A proves/falsifies the property; a stuck latch and an

@@ -6,7 +6,7 @@ use cnf::BmcCheck;
 use std::fmt;
 use std::sync::Arc;
 use std::time::Duration;
-use telemetry::{ArgValue, Telemetry};
+use telemetry::Telemetry;
 
 /// Why an engine stopped without an answer — the machine-readable
 /// vocabulary behind every [`Verdict::Inconclusive`].
@@ -200,8 +200,9 @@ pub struct EngineStats {
     /// groups ran on: after cone-of-influence slicing that is the
     /// largest group's narrowed model, not the whole design.
     pub visible_latches: usize,
-    /// Name of the entrant whose verdict a portfolio run adopted
-    /// ([`Engine::Portfolio`] only; `None` for direct engine runs).
+    /// Name of the race entrant whose status was adopted (for a group
+    /// race, its first property's); `None` for direct engine runs.  A
+    /// race's other counters absorb every entrant, winner and losers.
     pub winner: Option<&'static str>,
     /// Time spent in the preprocessing pass pipeline before the solver
     /// saw the design (zero when preprocessing is off).  A sliced
@@ -222,11 +223,14 @@ pub struct EngineStats {
     /// compression pass before emission
     /// ([`InvariantCert::compress`](crate::InvariantCert::compress)).
     pub cert_clauses_subsumed: u64,
-    /// Panics contained at engine dispatch boundaries (each one turned
-    /// into a [`Verdict::Inconclusive`] with a `panic:<msg>` reason).
+    /// Panics contained at the one containment boundary of each engine
+    /// run (each one turned into an inconclusive status with a
+    /// `panic:<msg>` reason for every property of that run).
     pub panics_contained: u64,
-    /// Times the shared memory budget ([`Options::memory_limit`])
-    /// stopped a SAT call.
+    /// Engine runs (single-property runs, amortized backends, race
+    /// entrants) that stopped a property on the shared memory budget
+    /// ([`Options::memory_limit`]): one count per run, however many of
+    /// its properties stopped.
     pub memlimit_hits: u64,
     /// Faults fired by an injection plan ([`Options::faults`]) during
     /// this run (0 in production).
@@ -427,21 +431,24 @@ impl PropertyStatus {
     /// certificate (invariant → [`PropertyStatus::Proved`]'s `cert`,
     /// trace → [`PropertyStatus::Falsified`]'s `cex`).
     pub fn from_result(result: &EngineResult) -> PropertyStatus {
-        match (&result.verdict, &result.certificate) {
-            (Verdict::Proved { k_fp, j_fp }, Some(Certificate::Invariant(inv))) => {
-                PropertyStatus::Proved {
-                    k_fp: *k_fp,
-                    j_fp: *j_fp,
-                    cert: Some(Arc::new(inv.clone())),
-                }
+        result.clone().into()
+    }
+
+    /// The single-property result of a run that ended with this status
+    /// and `stats`: the status's evidence becomes the certificate.
+    pub(crate) fn into_result(self, stats: EngineStats) -> EngineResult {
+        let verdict = self.verdict();
+        let certificate = match self {
+            PropertyStatus::Proved { cert, .. } => {
+                cert.map(|inv| Certificate::Invariant(Arc::unwrap_or_clone(inv)))
             }
-            (Verdict::Falsified { depth }, Some(Certificate::Trace(inputs))) => {
-                PropertyStatus::Falsified {
-                    depth: *depth,
-                    cex: Some(inputs.clone()),
-                }
-            }
-            _ => PropertyStatus::from_verdict(result.verdict.clone()),
+            PropertyStatus::Falsified { cex, .. } => cex.map(Certificate::Trace),
+            PropertyStatus::Inconclusive { .. } => None,
+        };
+        EngineResult {
+            verdict,
+            stats,
+            certificate,
         }
     }
 
@@ -514,6 +521,27 @@ impl PropertyStatus {
     }
 }
 
+impl From<EngineResult> for PropertyStatus {
+    fn from(result: EngineResult) -> PropertyStatus {
+        match (result.verdict, result.certificate) {
+            (Verdict::Proved { k_fp, j_fp }, Some(Certificate::Invariant(inv))) => {
+                PropertyStatus::Proved {
+                    k_fp,
+                    j_fp,
+                    cert: Some(Arc::new(inv)),
+                }
+            }
+            (Verdict::Falsified { depth }, Some(Certificate::Trace(inputs))) => {
+                PropertyStatus::Falsified {
+                    depth,
+                    cex: Some(inputs),
+                }
+            }
+            (verdict, _) => PropertyStatus::from_verdict(verdict),
+        }
+    }
+}
+
 impl fmt::Display for PropertyStatus {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -537,7 +565,24 @@ pub struct MultiResult {
     pub stats: EngineStats,
 }
 
+/// A one-property run as a multi-property result.
+impl From<EngineResult> for MultiResult {
+    fn from(result: EngineResult) -> MultiResult {
+        MultiResult {
+            stats: result.stats,
+            statuses: vec![result.into()],
+        }
+    }
+}
+
 impl MultiResult {
+    /// The result of a one-property run, its evidence as the certificate.
+    pub(crate) fn into_single(mut self) -> EngineResult {
+        debug_assert_eq!(self.statuses.len(), 1);
+        let status = self.statuses.pop().expect("a one-property run");
+        status.into_result(self.stats)
+    }
+
     /// Number of properties that received a definite answer.
     pub fn num_conclusive(&self) -> usize {
         self.statuses.iter().filter(|s| s.is_conclusive()).count()
@@ -763,10 +808,14 @@ pub enum Engine {
     /// Property-directed reachability (IC3/PDR) — the post-2011 competitor
     /// of the interpolation engines.
     Pdr,
-    /// A racing portfolio: PDR, ITPSEQCBA and BMC run concurrently on
-    /// worker threads, the first conclusive verdict wins and the losers
-    /// are cancelled (the paper's own conclusion that no single engine
-    /// dominates, turned into a mode).
+    /// A racing portfolio (the paper's own conclusion that no single
+    /// engine dominates, turned into a mode).  One race serves both
+    /// entries: [`verify`](Engine::verify) races PDR, ITPSEQCBA and BMC
+    /// on the property, and [`verify_all`](Engine::verify_all) races
+    /// multi-PDR against multi-BMC on each cone-of-influence group.  The
+    /// losers are cancelled once every property is decided, and each
+    /// property adopts the first conclusive status in entrant order (see
+    /// [`crate::engines::portfolio`]).
     Portfolio,
 }
 
@@ -824,15 +873,12 @@ impl Engine {
         prepared.verify_with_cancel(self, 0, options, cancel)
     }
 
-    /// Runs the engine directly on `aig`, with no preprocessing stage.
-    /// Inner entry used by the staged pipeline (which already reduced
-    /// the model) and the multi-property fallback loop.
-    ///
-    /// This is the panic-containment boundary: a panic anywhere inside
-    /// the engine (including injected ones) is caught here and converted
-    /// into [`Verdict::Inconclusive`] with a
-    /// [`StopReason::Panic`] reason, so one faulted engine never takes
-    /// down a portfolio race, a scheduler group or the process.
+    /// Runs the engine directly on `aig`, with no preprocessing stage
+    /// (the staged pipeline, the per-property loop and the race already
+    /// hold the model to run on).  Every engine but the portfolio runs in
+    /// the one containment boundary ([`contain`](crate::engines::run::contain)),
+    /// which turns a panic into a [`StopReason::Panic`] verdict; the
+    /// portfolio is a race whose entrants each pass that boundary.
     pub(crate) fn dispatch(
         self,
         aig: &aig::Aig,
@@ -840,60 +886,8 @@ impl Engine {
         options: &Options,
         cancel: &CancelToken,
     ) -> EngineResult {
-        let faults_fired_before = options.faults.fired();
-        let start = std::time::Instant::now();
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            self.dispatch_inner(aig, bad_index, options, cancel)
-        }));
-        let mut result = match outcome {
-            Ok(result) => result,
-            Err(payload) => {
-                let msg = panic_message(payload.as_ref());
-                options.telemetry.instant_args("fault", || {
-                    vec![
-                        ("engine", ArgValue::Str(self.name().to_string())),
-                        ("panic", ArgValue::Str(msg.clone())),
-                    ]
-                });
-                EngineResult {
-                    verdict: Verdict::Inconclusive {
-                        reason: StopReason::Panic(msg),
-                        bound_reached: 0,
-                    },
-                    stats: EngineStats {
-                        time: start.elapsed(),
-                        panics_contained: 1,
-                        ..EngineStats::default()
-                    },
-                    certificate: None,
-                }
-            }
-        };
-        if options.faults.fired() && !faults_fired_before {
-            result.stats.faults_injected += 1;
-        }
-        if let Verdict::Inconclusive {
-            reason: StopReason::MemLimit,
-            ..
-        } = &result.verdict
-        {
-            result.stats.memlimit_hits += 1;
-            options.telemetry.instant_args("memlimit", || {
-                vec![("engine", ArgValue::Str(self.name().to_string()))]
-            });
-        }
-        result
-    }
-
-    fn dispatch_inner(
-        self,
-        aig: &aig::Aig,
-        bad_index: usize,
-        options: &Options,
-        cancel: &CancelToken,
-    ) -> EngineResult {
         use crate::engines::seq::{self, SeqConfig};
-        use crate::engines::{bmc, itp, pdr, portfolio};
+        use crate::engines::{bmc, itp, pdr, portfolio, run::contain};
         let sequence = |name, alpha_serial, use_cba| {
             let config = SeqConfig {
                 name,
@@ -902,15 +896,19 @@ impl Engine {
             };
             seq::run(aig, bad_index, options, config, cancel)
         };
-        match self {
+        let run = || match self {
             Engine::Bmc => bmc::run(aig, bad_index, options, cancel),
             Engine::Itp => itp::run(aig, bad_index, options, cancel),
             Engine::ItpSeq => sequence("ITPSEQ", 0.0, false),
             Engine::SerialItpSeq => sequence("SITPSEQ", options.alpha_serial, false),
             Engine::ItpSeqCba => sequence("ITPSEQCBA", options.alpha_serial, true),
             Engine::Pdr => pdr::run(aig, bad_index, options, cancel),
-            Engine::Portfolio => portfolio::race(aig, bad_index, options, cancel),
+            Engine::Portfolio => portfolio::verify(aig, bad_index, options, cancel),
+        };
+        if self == Engine::Portfolio {
+            return run();
         }
+        contain(self, 1, options, || run().into()).into_single()
     }
 
     /// Verifies *every* bad-state property of `aig` in one run and
@@ -930,14 +928,19 @@ impl Engine {
         self.verify_all_with_cancel(aig, options, &CancelToken::new())
     }
 
-    /// [`verify_all`](Self::verify_all) under a cancellation token.
+    /// [`verify_all`](Self::verify_all) under a cancellation token, through
+    /// the staged pipeline like [`verify_with_cancel`](Self::verify_with_cancel).
     pub fn verify_all_with_cancel(
         self,
         aig: &aig::Aig,
         options: &Options,
         cancel: &CancelToken,
     ) -> crate::MultiResult {
-        crate::multi::verify_all_with_engine(aig, self, options, cancel)
+        if !options.preprocess.enabled() {
+            return crate::multi::verify_all_inner(aig, self, options, cancel, None);
+        }
+        let prepared = crate::pipeline::prepare(aig, options);
+        prepared.verify_all_with_cancel(self, options, cancel)
     }
 }
 

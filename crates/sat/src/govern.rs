@@ -129,6 +129,7 @@ struct FaultInner {
     at: u64,
     counter: AtomicU64,
     fired: AtomicBool,
+    reported: AtomicBool,
 }
 
 /// A deterministic fault injector; see the module docs.  The default
@@ -166,6 +167,7 @@ impl FaultPlan {
                 at: at.max(1),
                 counter: AtomicU64::new(0),
                 fired: AtomicBool::new(false),
+                reported: AtomicBool::new(false),
             })),
         }
     }
@@ -210,6 +212,15 @@ impl FaultPlan {
         self.inner
             .as_ref()
             .is_some_and(|inner| inner.fired.load(Ordering::Acquire))
+    }
+
+    /// `true` for the first caller after the fault fired, `false` before
+    /// and ever after: concurrent runs sharing the plan count its one
+    /// firing exactly once between them.
+    pub fn take_fired(&self) -> bool {
+        self.inner.as_ref().is_some_and(|inner| {
+            inner.fired.load(Ordering::Acquire) && !inner.reported.swap(true, Ordering::AcqRel)
+        })
     }
 
     /// Counts one tick of `site`; returns the fault to inject when this
@@ -298,6 +309,7 @@ mod tests {
         let plan = FaultPlan::inject(FaultSite::Conflict, FaultKind::Panic, 3);
         let clone = plan.clone();
         assert!(plan.is_armed() && !plan.fired());
+        assert!(!plan.take_fired(), "nothing fired yet");
         assert_eq!(plan.tick(FaultSite::Conflict), None);
         assert_eq!(plan.tick(FaultSite::Alloc), None, "wrong site never fires");
         assert_eq!(clone.tick(FaultSite::Conflict), None);
@@ -307,6 +319,8 @@ mod tests {
             "third conflict tick fires"
         );
         assert!(plan.fired() && clone.fired(), "clones share the latch");
+        assert!(clone.take_fired(), "the first report takes the firing");
+        assert!(!plan.take_fired(), "one firing is reported once");
         for _ in 0..10 {
             assert_eq!(clone.tick(FaultSite::Conflict), None, "never re-fires");
         }

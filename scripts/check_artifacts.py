@@ -24,7 +24,11 @@ script in ``.github/workflows/ci.yml``):
 * ``chaos-counters FILE`` — ``itpseq-table1/v9`` JSON from a ``--chaos``
   run: fault injection was armed, so the counters must show faults
   actually fired, every verdict must still be a recognised kind, and
-  every inconclusive record must carry a machine-readable reason.
+  every inconclusive record must carry a machine-readable reason.  Each
+  record ran under one plan, which fires at most once
+  (``faults_injected <= 1``, even across racing entrants), and every
+  contained panic was an injected one
+  (``panics_contained <= faults_injected``).
 * ``trace-schema TRACE CHROME BASELINE TRACED`` — ``itpseq-trace/v1``
   JSONL: balanced span tree per track, verdict markers, engine-run
   spans, non-empty Chrome export, and the no-op-sink baseline run is
@@ -205,6 +209,10 @@ def check_chaos_counters(path):
         assert record["verdict"] in ("proved", "falsified", "inconclusive"), record
         if record["verdict"] == "inconclusive":
             assert record["reason"], f"opaque inconclusive record: {record}"
+        assert record["faults_injected"] <= 1, f"one plan fired twice: {record}"
+        assert (
+            record["panics_contained"] <= record["faults_injected"]
+        ), f"a contained panic was not injected: {record}"
     injected = sum(r["faults_injected"] for r in records)
     contained = sum(r["panics_contained"] for r in records)
     degraded = sum(r["verdict"] == "inconclusive" for r in records)

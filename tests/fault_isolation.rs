@@ -5,7 +5,7 @@
 //! conflict, a clause-arena allocation or an engine phase — may cost a
 //! run its verdict, but it must never
 //!
-//! 1. crash the process (every dispatch boundary contains the unwind),
+//! 1. crash the process (every engine run's boundary contains the unwind),
 //! 2. flip a conclusive answer (a faulted run that still concludes
 //!    agrees with the clean run, counterexample depths included), or
 //! 3. surface as anything but an `Inconclusive` verdict with a
@@ -15,7 +15,7 @@
 //! `#[ignore]`d and exercised by CI's chaos job
 //! (`cargo test --release --test fault_isolation -- --include-ignored`).
 
-use itpseq::mc::{Engine, EngineResult, Options, StopReason, Verdict};
+use itpseq::mc::{Engine, EngineResult, Options, PropertyStatus, StopReason, Verdict};
 use itpseq::sat::{FaultKind, FaultPlan, FaultSite};
 use itpseq::telemetry::{Event, EventKind, Telemetry, TelemetrySink};
 use itpseq::workloads::Benchmark;
@@ -266,8 +266,8 @@ fn pdr_pool_fault_keeps_verdicts_thread_count_invariant() {
         ));
         let result = Engine::Pdr.verify(&benchmark.aig, 0, &chaos);
         match &result.verdict {
-            // The fault fired outside the pool: contained at the
-            // dispatch boundary, reported as a panic.
+            // The fault fired outside the pool: contained at the run's
+            // boundary, reported as a panic.
             Verdict::Inconclusive {
                 reason: StopReason::Panic(_),
                 ..
@@ -283,22 +283,43 @@ fn pdr_pool_fault_keeps_verdicts_thread_count_invariant() {
     }
 }
 
-/// Faults in the multi-property scheduler (COI groups racing multi-PDR
-/// against multi-BMC) degrade statuses, never flip them.
+/// Faults in every `verify_all` backend — multi-BMC, multi-PDR, the
+/// per-property loop of the interpolation engines and the scheduler's
+/// races — degrade statuses, never flip them.  An injected panic is
+/// contained by the one boundary of the run it fires in and counted
+/// exactly once, under `verify_all` and `verify` alike.
 #[test]
 fn multi_property_chaos_never_flips_statuses() {
     let aig = itpseq::workloads::counter::modular_multi(4, 10, &[3, 11, 7, 15]);
-    let clean = Engine::Portfolio.verify_all(&aig, &options());
-    for seed in 0..4u64 {
-        let chaos = options().with_faults(FaultPlan::seeded(seed));
-        let faulted = Engine::Portfolio.verify_all(&aig, &chaos);
-        for (i, (reference, status)) in clean.statuses.iter().zip(&faulted.statuses).enumerate() {
-            if status.is_conclusive() {
-                assert_eq!(
-                    reference.kind_and_depth(),
-                    status.kind_and_depth(),
-                    "property {i} seed {seed}"
-                );
+    let panic_at = |at| FaultPlan::inject(FaultSite::Alloc, FaultKind::Panic, at);
+    // Each plan is rebuilt for every run: a plan fires once.  The explicit
+    // panics must fire and be counted.
+    let seeded = (0..4u64).map(|seed| (FaultPlan::seeded as fn(u64) -> FaultPlan, seed, false));
+    let panics = [1u64, 5, 50].map(|at| (panic_at as fn(u64) -> FaultPlan, at, true));
+    let plans: Vec<_> = seeded.chain(panics).collect();
+    for engine in ENGINES {
+        let clean = engine.verify_all(&aig, &options());
+        let clean_single = engine.verify(&aig, 0, &options()).verdict;
+        for &(plan, n, counted) in &plans {
+            let context = format!("{} / {:?}", engine.name(), plan(n));
+            let faulted = engine.verify_all(&aig, &options().with_faults(plan(n)));
+            let statuses = clean.statuses.iter().zip(&faulted.statuses);
+            for (i, (reference, status)) in statuses.enumerate() {
+                if status.is_conclusive() {
+                    assert_eq!(
+                        reference.kind_and_depth(),
+                        status.kind_and_depth(),
+                        "{context}: property {i}"
+                    );
+                }
+            }
+            let single = engine.verify(&aig, 0, &options().with_faults(plan(n)));
+            assert_sound(&context, &clean_single, &single);
+            if counted {
+                for (entry, stats) in [("verify_all", faulted.stats), ("verify", single.stats)] {
+                    assert_eq!(stats.panics_contained, 1, "{context} / {entry}");
+                    assert_eq!(stats.faults_injected, 1, "{context} / {entry}");
+                }
             }
         }
     }
@@ -306,7 +327,9 @@ fn multi_property_chaos_never_flips_statuses() {
 
 /// An industrial run under a starved memory budget terminates with the
 /// `memlimit` reason — surfaced exactly like a timeout, plus the hit
-/// counter in the stats.
+/// counter in the stats.  On a multi-property design, under both entries,
+/// `memlimit_hits` counts the engine or backend runs that stopped on
+/// memory: once per run, and never again for the race around them.
 #[test]
 fn memory_limited_run_stops_with_memlimit_reason() {
     let benchmark = itpseq::workloads::suite::industrial()
@@ -328,6 +351,42 @@ fn memory_limited_run_stops_with_memlimit_reason() {
         result.stats.memlimit_hits >= 1,
         "the hit must be observable in the stats"
     );
+
+    let aig = itpseq::workloads::counter::modular_multi(4, 10, &[3, 11, 7, 15]);
+    let memlimit = |status: &&PropertyStatus| match status {
+        PropertyStatus::Inconclusive { reason, .. } => *reason == StopReason::MemLimit,
+        _ => false,
+    };
+    for engine in ENGINES {
+        let single = engine.verify(&aig, 0, &options().with_memory_limit(2000));
+        let all = engine.verify_all(&aig, &options().with_memory_limit(2000));
+        let single_statuses = vec![PropertyStatus::from_result(&single)];
+        let entries = [
+            ("verify", single_statuses, single.stats),
+            ("verify_all", all.statuses, all.stats),
+        ];
+        for (entry, statuses, stats) in entries {
+            let context = format!("{} / {entry}", engine.name());
+            let stopped = statuses.iter().filter(memlimit).count() as u64;
+            let hits = stats.memlimit_hits;
+            match engine {
+                // One hit per entrant that stopped on memory: at least one
+                // when the adopted status reads memlimit, at most one per
+                // entrant (3 racing on one property, 2 on a group).
+                Engine::Portfolio => {
+                    let entrants = if entry == "verify" { 3 } else { 2 };
+                    assert!(
+                        (stopped.min(1)..=entrants).contains(&hits),
+                        "{context}: {hits} hits for {stopped} memlimit statuses"
+                    );
+                }
+                // One run per property.
+                Engine::ItpSeq => assert_eq!(hits, stopped, "{context}"),
+                // One run for all properties (one COI group here).
+                _ => assert_eq!(hits, stopped.min(1), "{context}"),
+            }
+        }
+    }
 }
 
 /// An interrupt injected at the first clause allocation stops the run
